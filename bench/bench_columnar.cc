@@ -1,19 +1,17 @@
 /// \file bench_columnar.cc
-/// Columnar-vs-object data plane comparison (ROADMAP item 5): the same
-/// filter and join workloads executed twice in one process, once through
-/// the SoA slab + batched-kernel path and once with the columnar plane
-/// kill-switched off, so the speedup is measured against the exact scalar
-/// code the kernels replaced.
+/// The columnar data plane (SoA slabs + batched refinement kernels) on its
+/// target workload: a filter and the broadcast and partition-pair joins
+/// over a point-dominated population with a polygon every 200th row.
 ///
-/// `bench_columnar --smoke` runs the fast self-checking mode: both planes
-/// must return bit-identical filter rows and equal join counts, the
-/// columnar counters (engine.columnar.batches/rows/fallbacks/slab_reuse)
-/// must all advance, and the columnar filter must be no slower than the
-/// object filter (ratio <= 1.0, with a small absolute slack for
-/// sub-millisecond jitter). Pass `--json=<path>` to write the timings for
-/// the checked-in BENCH_10.json snapshot.
+/// `bench_columnar --smoke` runs the fast self-checking mode: the filter
+/// rows and both join results must equal a brute-force nested
+/// JoinPredicate::Eval loop, and the columnar counters
+/// (engine.columnar.batches/rows/fallbacks/slab_reuse) must all advance.
+/// The timings are reported, not gated. Pass `--json=<path>` to write them
+/// to a BENCH_*.json snapshot.
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,7 +21,6 @@
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "core/columnar.h"
-#include "core/st_serde.h"
 #include "partition/grid_partitioner.h"
 #include "spatial_rdd/join.h"
 #include "spatial_rdd/spatial_rdd.h"
@@ -99,50 +96,38 @@ size_t RunFilterCount() {
   return Partitioned().Intersects(Query()).Count();
 }
 
-size_t RunBroadcastJoinCount() {
+JoinOptions Options(size_t broadcast_threshold) {
   JoinOptions options;
   options.index_order = 10;
-  // Force the broadcast strategy: the polygon side is tiny by design.
-  options.broadcast_threshold = 10'000;
+  options.broadcast_threshold = broadcast_threshold;
+  return options;
+}
+
+/// Broadcast strategy (the polygon side is tiny by design) or, with
+/// threshold 0, the partition-pair strategy.
+std::vector<std::pair<int64_t, int64_t>> RunJoin(size_t broadcast_threshold) {
   return SpatialJoinProject(Partitioned(), SmallPolygons(),
-                            JoinPredicate::Intersects(), options, ProjectIds)
+                            JoinPredicate::Intersects(),
+                            Options(broadcast_threshold), ProjectIds)
+      .Collect();
+}
+
+size_t RunJoinCount(size_t broadcast_threshold) {
+  return SpatialJoinProject(Partitioned(), SmallPolygons(),
+                            JoinPredicate::Intersects(),
+                            Options(broadcast_threshold), ProjectIds)
       .Count();
 }
 
-size_t RunLiveJoinCount() {
-  JoinOptions options;
-  options.index_order = 10;
-  options.broadcast_threshold = 0;  // partition-pair strategy
-  return SpatialJoinProject(Partitioned(), SmallPolygons(),
-                            JoinPredicate::Intersects(), options, ProjectIds)
-      .Count();
-}
-
-void BM_Filter_Columnar(benchmark::State& state) {
-  columnar::SetEnabled(true);
+void BM_Filter(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(RunFilterCount());
 }
-BENCHMARK(BM_Filter_Columnar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Filter)->Unit(benchmark::kMillisecond);
 
-void BM_Filter_Object(benchmark::State& state) {
-  columnar::SetEnabled(false);
-  for (auto _ : state) benchmark::DoNotOptimize(RunFilterCount());
-  columnar::SetEnabled(true);
+void BM_BroadcastJoin(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(RunJoinCount(10'000));
 }
-BENCHMARK(BM_Filter_Object)->Unit(benchmark::kMillisecond);
-
-void BM_BroadcastJoin_Columnar(benchmark::State& state) {
-  columnar::SetEnabled(true);
-  for (auto _ : state) benchmark::DoNotOptimize(RunBroadcastJoinCount());
-}
-BENCHMARK(BM_BroadcastJoin_Columnar)->Unit(benchmark::kMillisecond);
-
-void BM_BroadcastJoin_Object(benchmark::State& state) {
-  columnar::SetEnabled(false);
-  for (auto _ : state) benchmark::DoNotOptimize(RunBroadcastJoinCount());
-  columnar::SetEnabled(true);
-}
-BENCHMARK(BM_BroadcastJoin_Object)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BroadcastJoin)->Unit(benchmark::kMillisecond);
 
 // ---- --smoke / --json mode ------------------------------------------------
 
@@ -151,11 +136,15 @@ double MedianOf(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
-std::string RowBytes(const E& e) {
-  BinaryWriter w;
-  WriteSTObject(&w, e.first);
-  w.WriteI64(e.second);
-  return std::string(w.buffer().data(), w.buffer().size());
+template <typename Fn>
+double MedianSeconds(int runs, Fn&& fn) {
+  std::vector<double> samples;
+  for (int i = 0; i < runs; ++i) {
+    Stopwatch w;
+    fn();
+    samples.push_back(w.ElapsedSeconds());
+  }
+  return MedianOf(samples);
 }
 
 int RunSmoke(const std::string& json_path) {
@@ -175,37 +164,40 @@ int RunSmoke(const std::string& json_path) {
   const uint64_t fallbacks_before = cm.fallbacks->Value();
   const uint64_t reuse_before = cm.slab_reuse->Value();
 
-  // Bit-identity: the same filter, both planes, full rows compared by
-  // serialized bytes (payload included) in emission order.
-  columnar::SetEnabled(true);
-  const std::vector<E> col_rows =
-      Partitioned().Filter(Query(), JoinPredicate::Intersects()).Collect();
-  columnar::SetEnabled(false);
-  const std::vector<E> obj_rows =
-      Partitioned().Filter(Query(), JoinPredicate::Intersects()).Collect();
-  columnar::SetEnabled(true);
-  std::fprintf(stderr, "[smoke] filter results: columnar=%zu object=%zu\n",
-               col_rows.size(), obj_rows.size());
-  bool identical = col_rows.size() == obj_rows.size();
-  for (size_t i = 0; identical && i < col_rows.size(); ++i) {
-    identical = RowBytes(col_rows[i]) == RowBytes(obj_rows[i]);
+  // Brute-force oracle: nested JoinPredicate::Eval loops over the inputs.
+  const JoinPredicate pred = JoinPredicate::Intersects();
+  const std::vector<E> data = Partitioned().rdd().Collect();
+  const std::vector<E> polygons = SmallPolygons().rdd().Collect();
+  std::set<int64_t> expect_rows;
+  std::set<std::pair<int64_t, int64_t>> expect_pairs;
+  for (const E& e : data) {
+    if (pred.Eval(e.first, Query())) expect_rows.insert(e.second);
+    for (const E& p : polygons) {
+      if (pred.Eval(e.first, p.first)) expect_pairs.emplace(e.second, p.second);
+    }
   }
-  check(identical, "filter rows bit-identical across planes");
 
-  // Join agreement on both strategies (broadcast builds the small-side
-  // slab; partition-pair builds per-partition slabs).
-  const size_t bc_col = RunBroadcastJoinCount();
-  const size_t live_col = RunLiveJoinCount();
-  columnar::SetEnabled(false);
-  const size_t bc_obj = RunBroadcastJoinCount();
-  const size_t live_obj = RunLiveJoinCount();
-  columnar::SetEnabled(true);
+  std::set<int64_t> rows;
+  for (const E& e : Partitioned().Filter(Query(), pred).Collect()) {
+    rows.insert(e.second);
+  }
+  const auto broadcast = RunJoin(10'000);
+  const auto live = RunJoin(0);
   std::fprintf(stderr,
-               "[smoke] join results: broadcast=%zu/%zu live=%zu/%zu "
-               "(columnar/object)\n",
-               bc_col, bc_obj, live_col, live_obj);
-  check(bc_col == bc_obj, "broadcast join counts agree across planes");
-  check(live_col == live_obj, "partition-pair join counts agree across planes");
+               "[smoke] results: filter=%zu broadcast join=%zu live join=%zu "
+               "(brute force %zu / %zu)\n",
+               rows.size(), broadcast.size(), live.size(), expect_rows.size(),
+               expect_pairs.size());
+  check(rows == expect_rows, "filter rows match brute force");
+  check(std::set<std::pair<int64_t, int64_t>>(broadcast.begin(),
+                                              broadcast.end()) ==
+                expect_pairs &&
+            broadcast.size() == expect_pairs.size(),
+        "broadcast join matches brute force");
+  check(std::set<std::pair<int64_t, int64_t>>(live.begin(), live.end()) ==
+                expect_pairs &&
+            live.size() == expect_pairs.size(),
+        "partition-pair join matches brute force");
 
   check(cm.batches->Value() > batches_before,
         "slabs built (engine.columnar.batches advanced)");
@@ -220,57 +212,23 @@ int RunSmoke(const std::string& json_path) {
   check(cm.slab_reuse->Value() > reuse_mark,
         "repeat filter reused slabs (engine.columnar.slab_reuse advanced)");
 
-  // Median-of-5 filter timings, interleaved so noise hits both planes
-  // alike. The columnar plane must not lose to the object plane it
-  // replaced; a small absolute slack absorbs sub-millisecond jitter.
-  std::vector<double> col_s, obj_s;
-  for (int i = 0; i < 5; ++i) {
-    columnar::SetEnabled(true);
-    Stopwatch w;
-    RunFilterCount();
-    col_s.push_back(w.ElapsedSeconds());
-    columnar::SetEnabled(false);
-    w.Restart();
-    RunFilterCount();
-    obj_s.push_back(w.ElapsedSeconds());
-    columnar::SetEnabled(true);
-  }
-  const double col_med = MedianOf(col_s);
-  const double obj_med = MedianOf(obj_s);
-  const double ratio = obj_med > 0 ? col_med / obj_med : 0.0;
+  // Timings: reported, not gated.
+  const double filter_s = MedianSeconds(5, RunFilterCount);
+  const double broadcast_s = MedianSeconds(3, [] { RunJoinCount(10'000); });
+  const double live_s = MedianSeconds(3, [] { RunJoinCount(0); });
   std::fprintf(stderr,
-               "[smoke] median filter time: columnar=%.4fs object=%.4fs "
-               "(ratio %.3f)\n",
-               col_med, obj_med, ratio);
-  check(col_med <= obj_med + 0.002,
-        "columnar filter <= 1.0x object filter");
-
-  // Join timings (reported, not gated: join cost is dominated by tree
-  // probes and pair emission, so the refinement win is a smaller slice).
-  std::vector<double> jcol_s, jobj_s;
-  for (int i = 0; i < 3; ++i) {
-    columnar::SetEnabled(true);
-    Stopwatch w;
-    RunBroadcastJoinCount();
-    jcol_s.push_back(w.ElapsedSeconds());
-    columnar::SetEnabled(false);
-    w.Restart();
-    RunBroadcastJoinCount();
-    jobj_s.push_back(w.ElapsedSeconds());
-    columnar::SetEnabled(true);
-  }
+               "[smoke] median time: filter=%.4fs broadcast join=%.4fs "
+               "live join=%.4fs\n",
+               filter_s, broadcast_s, live_s);
 
   if (!json_path.empty()) {
     bench::JsonReport report;
     report.Add("columnar.n", static_cast<double>(N()));
-    report.Add("columnar.filter_results",
-               static_cast<double>(col_rows.size()));
-    report.Add("columnar.filter_columnar_s", col_med);
-    report.Add("columnar.filter_object_s", obj_med);
-    report.Add("columnar.filter_ratio", ratio);
-    report.Add("columnar.join_results", static_cast<double>(bc_col));
-    report.Add("columnar.join_columnar_s", MedianOf(jcol_s));
-    report.Add("columnar.join_object_s", MedianOf(jobj_s));
+    report.Add("columnar.filter_results", static_cast<double>(rows.size()));
+    report.Add("columnar.filter_s", filter_s);
+    report.Add("columnar.join_results", static_cast<double>(broadcast.size()));
+    report.Add("columnar.join_broadcast_s", broadcast_s);
+    report.Add("columnar.join_live_s", live_s);
     report.Add("columnar.rows",
                static_cast<double>(cm.rows->Value() - rows_before));
     report.Add("columnar.fallbacks",

@@ -1,38 +1,8 @@
 #include "core/columnar.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace stark {
-
-namespace columnar {
-
-namespace {
-// Tri-state: -1 = environment not read yet, 0 = off, 1 = on.
-std::atomic<int> g_enabled{-1};
-}  // namespace
-
-bool Enabled() {
-  int v = g_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("STARK_COLUMNAR");
-    const bool off = env != nullptr &&
-                     (std::strcmp(env, "0") == 0 ||
-                      std::strcmp(env, "false") == 0 ||
-                      std::strcmp(env, "off") == 0);
-    v = off ? 0 : 1;
-    g_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-}  // namespace columnar
 
 ColumnarBatch ColumnarBatch::FromObjects(const std::vector<STObject>& objects) {
   ColumnarBatch b;

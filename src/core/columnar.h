@@ -31,20 +31,6 @@
 
 namespace stark {
 
-namespace columnar {
-
-/// Kill-switch: false when the environment sets STARK_COLUMNAR=0 (or
-/// "false"/"off"), true otherwise. Read once, then cached; SetEnabled
-/// overrides at runtime. Every columnar fast path consults this so the
-/// per-object path stays one env var away for differential debugging.
-bool Enabled();
-
-/// Runtime override of the kill-switch (benches toggle it to time both
-/// paths in one process). Thread-safe; affects subsequently started tasks.
-void SetEnabled(bool enabled);
-
-}  // namespace columnar
-
 /// \brief SoA slab container for one batch/partition of STObjects.
 ///
 /// Row layout: every row has a type tag, a representative point (the
@@ -183,8 +169,9 @@ struct Serde<ColumnarBatch> {
 /// - batches: ColumnarBatch builds performed by engine paths.
 /// - rows: rows refined through the batch kernels (the columnar plane
 ///   actually executing, not the fallback).
-/// - fallbacks: rows routed through the scalar per-object path instead
-///   (non-point geometry, custom distance fn, kill-switch off).
+/// - fallbacks: rows refined by scalar prepared evaluation instead (non-point
+///   rows of a slab, custom distance functions, and trees whose entries are
+///   the elements themselves, which have no slab).
 /// - slab_reuse: filters served by an already-built batch/envelope slab
 ///   instead of rebuilding it.
 struct ColumnarMetricSet {

@@ -163,7 +163,7 @@ Status Checkpoint(const RDD<T>& rdd, const std::string& directory) {
     BinaryWriter w;
     bool wrote_columnar = false;
     if constexpr (CheckpointSTPair<T>::value) {
-      if (columnar::Enabled() && parts[p].size() <= UINT32_MAX) {
+      if (parts[p].size() <= UINT32_MAX) {
         using Payload = typename CheckpointSTPair<T>::Payload;
         w.WriteU32(kCheckpointPartMagicColumnar);
         w.WriteU64(parts[p].size());

@@ -12,14 +12,13 @@
 /// enforces this.
 ///
 /// Lifetime: a PreparedGeometry holds a pointer to the Geometry it was
-/// built from; the Geometry must outlive it. Caches are therefore scoped to
-/// one task/query (see docs/PERFORMANCE.md, "Invalidation rules").
+/// built from; the Geometry must outlive it (see docs/PERFORMANCE.md,
+/// "Lifetime rules").
 #ifndef STARK_GEOMETRY_PREPARED_H_
 #define STARK_GEOMETRY_PREPARED_H_
 
 #include <cstddef>
 #include <memory>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "geometry/geometry.h"
@@ -80,40 +79,6 @@ class PreparedGeometry {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// \brief Pointer-keyed cache of PreparedGeometry instances.
-///
-/// Keys are Geometry addresses, so the cache is only valid while the keyed
-/// geometries stay alive and unmoved — use one cache per task over a stable
-/// snapshot (e.g. the broadcast small side) and drop it with the task.
-/// Counts hits (repeat lookups) and misses (preparations) for the
-/// spatial.prepared.{hits,misses} counters.
-class PreparedGeometryCache {
- public:
-  PreparedGeometryCache() = default;
-  STARK_DISALLOW_COPY_AND_ASSIGN(PreparedGeometryCache);
-
-  /// Returns the prepared form of \p geo, preparing it on first use. The
-  /// reference stays valid for the life of the cache.
-  const PreparedGeometry& Get(const Geometry& geo) {
-    auto it = cache_.find(&geo);
-    if (it != cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    ++misses_;
-    return cache_.emplace(&geo, PreparedGeometry(geo)).first->second;
-  }
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-  size_t size() const { return cache_.size(); }
-
- private:
-  std::unordered_map<const Geometry*, PreparedGeometry> cache_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
 };
 
 }  // namespace stark

@@ -1,9 +1,9 @@
 #include "geometry/wkt.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 namespace stark {
@@ -111,27 +111,33 @@ class WktScanner {
 
 void AppendNumber(std::string* out, double v) {
   char buf[32];
-  // Integral values print without an exponent ("100000", not "1e+05").
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    out->append(buf);
+  char* const end = buf + sizeof(buf);
+  // Integral values print without an exponent ("100000", not "1e+05"). The
+  // range test comes first, so NaN and infinities are never cast.
+  if (std::abs(v) < 1e15 && std::trunc(v) == v) {
+    out->append(buf, std::to_chars(buf, end, static_cast<long long>(v)).ptr);
     return;
   }
-  // %.17g round-trips doubles; trim to a compact representation.
-  int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
+  // The shortest %g-style text that parses back to v. No text with fewer
+  // significant digits than the shortest scientific form round-trips; with
+  // that many, the correctly rounded text can still miss at a binade edge,
+  // so step the precision up until it round-trips (17 digits always do;
+  // NaN never does and prints at 17).
+  char* sci_end = std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buf; c != sci_end && *c != 'e'; ++c) {
+    digits += std::isdigit(static_cast<unsigned char>(*c)) ? 1 : 0;
+  }
+  for (int precision = std::max(digits, 1);; ++precision) {
+    char* last =
+        std::to_chars(buf, end, v, std::chars_format::general, precision).ptr;
     double back = 0.0;
-    std::sscanf(probe, "%lf", &back);
-    if (back == v) {
-      out->append(probe);
+    std::from_chars(buf, last, back);
+    if (back == v || precision >= 17) {
+      out->append(buf, last);
       return;
     }
   }
-  out->append(buf, static_cast<size_t>(n));
 }
 
 void AppendCoordinate(std::string* out, const Coordinate& c) {

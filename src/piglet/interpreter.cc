@@ -20,8 +20,8 @@
 #include "piglet/parser.h"
 #include "core/columnar.h"
 #include "serve/catalog.h"
-#include "spatial_rdd/columnar_refine.h"
 #include "spatial_rdd/join.h"
+#include "spatial_rdd/probe.h"
 #include "spatial_rdd/spatial_rdd.h"
 
 namespace stark {
@@ -784,77 +784,14 @@ Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
   STARK_RETURN_NOT_OK(ctx_->TryRunTasks(
       "serve.snapshot.filter", 1, [&](size_t) {
         const std::vector<stream::StreamEvent>& events = *snap->events;
-        uint64_t candidates = 0;
-        const bool use_columnar =
-            columnar::Enabled() && columnar_refine::Refinable(pred);
-        if (use_columnar) {
-          // Columnar refine: the epoch is immutable, so its slab is built
-          // once (on the first spatial FILTER) and shared by every later
-          // query against the same snapshot version.
-          std::shared_ptr<const ColumnarBatch> batch;
-          {
-            std::lock_guard<std::mutex> lock(snap->columnar->mu);
-            batch = snap->columnar->batch;
-            if (batch == nullptr) {
-              batch = std::make_shared<const ColumnarBatch>(
-                  ColumnarBatch::Build(
-                      events,
-                      [](const stream::StreamEvent& ev) -> const STObject& {
-                        return ev.obj;
-                      }));
-              snap->columnar->batch = batch;
-              GlobalColumnarMetrics().batches->Increment();
-            } else {
-              GlobalColumnarMetrics().slab_reuse->Increment();
-            }
-          }
-          std::vector<uint32_t> cand;
-          auto collect = [&](const Envelope&, const uint32_t& idx) {
-            if ((++candidates & 1023u) == 0) ThrowIfTaskCancelled();
-            cand.push_back(idx);
-          };
-          if (pred.Prunable()) {
-            const Envelope probe =
-                query.envelope().Expanded(pred.EnvelopeMargin());
-            snap->tree->Query(probe, collect);
-          } else {
-            snap->tree->ForEach(collect);
-          }
-          if (!cand.empty()) {
-            PreparedGeometry prep(query.geo());
-            columnar_refine::Stats cstats;
-            std::vector<uint32_t> scratch;
-            columnar_refine::RefineCandidates(
-                *batch, pred, query, prep, /*cand_left=*/true, &cand,
-                [&](uint32_t j) -> const STObject& { return events[j].obj; },
-                &cstats, &scratch);
-            const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-            cm.rows->Add(cstats.kernel_rows);
-            cm.fallbacks->Add(cstats.fallback_rows);
-            kept.reserve(cand.size());
-            for (const uint32_t j : cand) {
-              kept.push_back(RowFromStreamEvent(events[j]));
-            }
-          }
-        } else {
-          // Same candidate/refine protocol as IndexedSpatialRDD::Filter:
-          // envelope probe expanded by the predicate margin, exact predicate
-          // bound once so the query geometry is prepared and reused.
-          BoundPredicate bound(pred, query,
-                               BoundPredicate::Side::kCandidateLeft);
-          auto refine = [&](const Envelope&, const uint32_t& idx) {
-            if ((++candidates & 1023u) == 0) ThrowIfTaskCancelled();
-            const stream::StreamEvent& ev = events[idx];
-            if (bound.Eval(ev.obj)) kept.push_back(RowFromStreamEvent(ev));
-          };
-          if (pred.Prunable()) {
-            const Envelope probe =
-                query.envelope().Expanded(pred.EnvelopeMargin());
-            snap->tree->Query(probe, refine);
-          } else {
-            snap->tree->ForEach(refine);
-          }
-        }
+        // The epoch's slab was built beside its tree at ingest.
+        GlobalColumnarMetrics().slab_reuse->Increment();
+        Probe probe(pred, /*cand_left=*/true, snap->slab.get());
+        probe.Tree(
+            *snap->tree, query,
+            [&events](uint32_t j) -> const STObject& { return events[j].obj; },
+            [&](uint32_t j) { kept.push_back(RowFromStreamEvent(events[j])); });
+        const size_t candidates = probe.candidates();
         global_candidates->Add(candidates);
         global_results->Add(kept.size());
         if (stats != nullptr) {
@@ -862,12 +799,7 @@ Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
           stats->candidates += candidates;
           stats->results += kept.size();
         }
-        if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-          span->records_in = candidates;
-          span->records_out = kept.size();
-          span->candidates = candidates;
-          span->refined = kept.size();
-        }
+        probe.Finish("", candidates);
       }));
   probes->Increment();
 

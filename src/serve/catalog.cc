@@ -21,6 +21,10 @@ DatasetSnapshot BuildSnapshot(uint64_t version,
   snap.events = std::move(slab);
   snap.tree = std::make_shared<const PackedRTree<uint32_t>>(
       order, std::move(entries));
+  snap.slab = std::make_shared<const ColumnarBatch>(ColumnarBatch::Build(
+      *snap.events,
+      [](const stream::StreamEvent& e) -> const STObject& { return e.obj; }));
+  GlobalColumnarMetrics().batches->Increment();
   return snap;
 }
 

@@ -6,8 +6,8 @@
 /// over the full collection *off to the side*, and publishes the result as
 /// a new epoch, while in-flight readers keep querying the epoch they
 /// pinned. Readers see a DatasetSnapshot — an immutable {version, events,
-/// tree} triple whose internal consistency can be checked cheaply (the
-/// torn-swap detector of the TSan hammer test).
+/// tree, slab} record whose internal consistency can be checked cheaply
+/// (the torn-swap detector of the TSan hammer test).
 #ifndef STARK_SERVE_CATALOG_H_
 #define STARK_SERVE_CATALOG_H_
 
@@ -29,36 +29,25 @@
 namespace stark {
 namespace serve {
 
-/// \brief Lazily-built columnar companion of one dataset epoch.
-///
-/// The slab is built on the first spatial FILTER against the snapshot and
-/// shared by every later reader of the same epoch
-/// (engine.columnar.slab_reuse); epochs are immutable, so the batch never
-/// invalidates. The mutex only guards the build-once handoff.
-struct SnapshotColumnar {
-  std::mutex mu;
-  std::shared_ptr<const ColumnarBatch> batch;
-};
-
 /// \brief One immutable published version of a dataset.
 ///
 /// `tree` indexes every event by its envelope; payloads are indices into
-/// `events`, so the slab is shared rather than copied into the tree.
+/// `events`, which are also the row ids of `slab`, the events' columnar
+/// batch. Tree and slab are built together at ingest, so queries never
+/// build anything.
 struct DatasetSnapshot {
   /// Ingest generation: how many Ingest() batches this version includes.
   uint64_t version = 0;
   std::shared_ptr<const std::vector<stream::StreamEvent>> events;
   std::shared_ptr<const PackedRTree<uint32_t>> tree;
-  /// Columnar slab cache for this epoch (never null; batch inside is built
-  /// on first use). Not part of the torn-swap consistency contract.
-  std::shared_ptr<SnapshotColumnar> columnar =
-      std::make_shared<SnapshotColumnar>();
+  std::shared_ptr<const ColumnarBatch> slab;
 
   /// Internal-consistency check used by the snapshot hammer test: a torn
-  /// publication (events from one version, tree from another) trips this.
+  /// publication (events from one version, tree or slab from another)
+  /// trips this.
   bool Consistent() const {
-    return events != nullptr && tree != nullptr &&
-           tree->size() == events->size();
+    return events != nullptr && tree != nullptr && slab != nullptr &&
+           tree->size() == events->size() && slab->rows() == events->size();
   }
 };
 
@@ -108,9 +97,10 @@ class Catalog {
   std::map<std::string, std::unique_ptr<Dataset>> datasets_;
 };
 
-/// Builds the immutable snapshot for \p events (shared by Catalog::Ingest
-/// and the serial-verification path of tests/benches: both must produce
-/// identical trees for the differential check to be exact).
+/// Builds the immutable snapshot for \p events, its packed R-tree and its
+/// columnar slab (shared by Catalog::Ingest and the serial-verification
+/// path of tests/benches: both must produce identical trees for the
+/// differential check to be exact).
 DatasetSnapshot BuildSnapshot(uint64_t version,
                               std::vector<stream::StreamEvent> events,
                               size_t order);

@@ -34,11 +34,11 @@
 
 #include "core/columnar.h"
 #include "engine/context.h"
-#include "geometry/prepared.h"
 #include "index/packed_rtree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spatial_rdd/columnar_refine.h"
+#include "spatial_rdd/probe.h"
 #include "spatial_rdd/query_stats.h"
 #include "spatial_rdd/spatial_rdd.h"
 
@@ -206,38 +206,64 @@ inline std::string TaskDetail(const ProbeTask& t, size_t full_range) {
   return d;
 }
 
-/// Annotates the current task span (when tracing or profiling) with the
-/// probe detail, record counts, and index candidate/refined counts; no-op
-/// outside an observed task.
-inline void AnnotateSpan(const std::string& detail, size_t records_in,
-                         size_t records_out, size_t candidates = 0,
-                         size_t refined = 0) {
-  if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-    span->detail = detail;
-    span->records_in = records_in;
-    span->records_out = records_out;
-    span->candidates = candidates;
-    span->refined = refined;
+/// Broadcast strategy: \p small_parts is flattened into one side, indexed
+/// once (an R-tree when \p use_index, plus its slab), and probed from every
+/// partition of \p big_parts, one task per big partition. \p small_left
+/// states which operand the small side fills; `pair(big, small)` builds an
+/// output record. \p label(b) names task b in its span.
+template <typename Out, typename B, typename S, typename Pair, typename Label>
+std::vector<std::vector<Out>> Broadcast(
+    Context* ctx, std::vector<std::vector<S>> small_parts,
+    const std::vector<std::vector<B>>& big_parts, const JoinPredicate& pred,
+    const JoinOptions& options, bool use_index, bool small_left, Pair pair,
+    Label label) {
+  const JoinMetricSet& metrics = GlobalJoinMetrics();
+  size_t total = 0;
+  for (const auto& part : small_parts) total += part.size();
+  std::vector<S> small;
+  small.reserve(total);
+  for (auto& part : small_parts) {
+    for (auto& e : part) small.push_back(std::move(e));
   }
-}
-
-/// Suffix describing the packed-index / prepared-geometry work a task did,
-/// appended to its span detail (e.g. " packed_probes=128 prepared=500/3").
-inline std::string IndexDetail(size_t packed_probes, size_t prepared_hits,
-                               size_t prepared_misses) {
-  return " packed_probes=" + std::to_string(packed_probes) +
-         " prepared=" + std::to_string(prepared_hits) + "/" +
-         std::to_string(prepared_misses);
-}
-
-/// Flushes task-local packed/prepared counters into the global metric set
-/// (once per task — the granularity rule).
-inline void FlushIndexMetrics(size_t packed_probes, size_t prepared_hits,
-                              size_t prepared_misses) {
-  const IndexMetricSet& m = GlobalIndexMetrics();
-  m.packed_probes->Add(packed_probes);
-  m.prepared_hits->Add(prepared_hits);
-  m.prepared_misses->Add(prepared_misses);
+  PackedRTree<size_t> tree;
+  if (use_index) {
+    std::vector<std::pair<Envelope, size_t>> entries;
+    entries.reserve(small.size());
+    for (size_t e = 0; e < small.size(); ++e) {
+      entries.emplace_back(small[e].first.envelope(), e);
+    }
+    tree = PackedRTree<size_t>(options.index_order, std::move(entries));
+    metrics.tree_builds->Increment();
+  }
+  // The small side is stable for the whole join: one slab, shared by every
+  // task (engine.columnar.slab_reuse once per task).
+  std::unique_ptr<const ColumnarBatch> slab;
+  if (columnar_refine::Refinable(pred) && !small.empty() &&
+      small.size() <= UINT32_MAX) {
+    slab = std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
+        small, [](const S& e) -> const STObject& { return e.first; }));
+    GlobalColumnarMetrics().batches->Increment();
+  }
+  std::vector<std::vector<Out>> out(big_parts.size());
+  ctx->RunTasks("spatial.join.broadcast", big_parts.size(), [&](size_t b) {
+    std::vector<Out>& sink = out[b];
+    sink.clear();  // retry-idempotent: a re-run starts from scratch
+    Probe probe(pred, small_left, slab.get());
+    auto obj = [&small](size_t e) -> const STObject& { return small[e].first; };
+    for (const B& row : big_parts[b]) {
+      auto keep = [&](size_t e) { sink.push_back(pair(row, small[e])); };
+      if (use_index) {
+        probe.Tree(tree, row.first, obj, keep);
+      } else {
+        probe.Scan(small.size(), row.first, obj, keep);
+      }
+    }
+    if (slab != nullptr) GlobalColumnarMetrics().slab_reuse->Increment();
+    probe.Finish(label(b), big_parts[b].size());
+    metrics.prefilter_skips->Add(probe.envelope_skips());
+    metrics.results->Add(sink.size());
+  });
+  return out;
 }
 
 }  // namespace join_internal
@@ -287,220 +313,27 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   // ---- Broadcast strategy -------------------------------------------------
   // One side fits under the threshold: flatten it, index it once, and probe
   // it from every partition of the other side — no pair enumeration at all.
-  // The small side's geometries are stable for the whole join, so each task
-  // refines through a PreparedGeometryCache keyed on them: one preparation
-  // per distinct small geometry per task, reuse for every repeat candidate.
-  // Custom withinDistance functions bypass preparation (the kernels never
-  // see the geometry).
-  const bool custom_fn =
-      pred.type == PredicateType::kWithinDistance && pred.distance != nullptr;
   if (options.broadcast_threshold > 0 &&
       std::min(total_l, total_r) <= options.broadcast_threshold) {
     metrics.broadcast_joins->Increment();
     if (total_r <= total_l) {
-      // Broadcast the right side; one task per left partition.
-      std::vector<R> small;
-      small.reserve(total_r);
-      for (auto& part : right_parts) {
-        for (auto& r : part) small.push_back(std::move(r));
-      }
-      PackedRTree<size_t> tree;
-      if (use_index) {
-        std::vector<std::pair<Envelope, size_t>> entries;
-        entries.reserve(small.size());
-        for (size_t e = 0; e < small.size(); ++e) {
-          entries.emplace_back(small[e].first.envelope(), e);
-        }
-        tree = PackedRTree<size_t>(options.index_order, std::move(entries));
-        metrics.tree_builds->Increment();
-      }
-      // Columnar refinement: the broadcast side is stable for the whole
-      // join, so build its SoA batch once and refine each probe's candidate
-      // list through the batch kernels (the probe becomes the prepared
-      // fixed operand). Results and emission order are identical to the
-      // scalar refine.
-      std::unique_ptr<const ColumnarBatch> small_batch;
-      if (use_index && columnar::Enabled() &&
-          columnar_refine::Refinable(pred) && !small.empty() &&
-          small.size() <= UINT32_MAX) {
-        small_batch = std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-            small, [](const R& e) -> const STObject& { return e.first; }));
-        GlobalColumnarMetrics().batches->Increment();
-      }
-      std::vector<std::vector<Out>> out(nl);
-      ctx->RunTasks("spatial.join.broadcast", nl, [&](size_t i) {
-        std::vector<Out>& sink = out[i];
-        sink.clear();  // retry-idempotent: a re-run starts from scratch
-        size_t prefilter_skips = 0;
-        size_t probed = 0;
-        size_t packed_probes = 0;
-        size_t prep_hits = 0;
-        size_t prep_misses = 0;
-        PreparedGeometryCache cache;
-        columnar_refine::Stats cstats;
-        std::vector<uint32_t> cand;
-        std::vector<uint32_t> scratch;
-        auto refine = [&](const L& l, const R& r) {
-          return custom_fn ? pred.Eval(l.first, r.first)
-                           : EvalWithPreparedRight(pred, l.first, r.first,
-                                                   cache.Get(r.first.geo()));
-        };
-        for (const L& l : left_parts[i]) {
-          // Cooperative checkpoint: long probe tasks stop here when their
-          // job is cancelled or past its deadline.
-          if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-          const Envelope probe = l.first.envelope().Expanded(margin);
-          if (small_batch != nullptr) {
-            cand.clear();
-            tree.Query(probe, [&](const Envelope&, const size_t& e) {
-              cand.push_back(static_cast<uint32_t>(e));
-            });
-            ++packed_probes;
-            if (!cand.empty()) {
-              const size_t in_count = cand.size();
-              PreparedGeometry prep(l.first.geo());
-              columnar_refine::RefineCandidates(
-                  *small_batch, pred, l.first, prep, /*cand_left=*/false,
-                  &cand,
-                  [&](uint32_t e) -> const STObject& {
-                    return small[e].first;
-                  },
-                  &cstats, &scratch);
-              prep_misses += 1;
-              prep_hits += in_count - 1;
-              for (const uint32_t e : cand) sink.push_back(project(l, small[e]));
-            }
-          } else if (use_index) {
-            tree.Query(probe, [&](const Envelope&, const size_t& e) {
-              if (refine(l, small[e])) sink.push_back(project(l, small[e]));
-            });
-            ++packed_probes;
-          } else {
-            for (const R& r : small) {
-              if (pred.Prunable() && !probe.Intersects(r.first.envelope())) {
-                ++prefilter_skips;
-                continue;
-              }
-              if (refine(l, r)) sink.push_back(project(l, r));
-            }
-          }
-        }
-        if (small_batch != nullptr) {
-          const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-          cm.rows->Add(cstats.kernel_rows);
-          cm.fallbacks->Add(cstats.fallback_rows);
-          cm.slab_reuse->Increment();  // batch + envelope slab shared by task
-        }
-        ji::AnnotateSpan("L" + std::to_string(i) + "xR* (broadcast)" +
-                             ji::IndexDetail(packed_probes,
-                                             cache.hits() + prep_hits,
-                                             cache.misses() + prep_misses),
-                         left_parts[i].size(), sink.size(), packed_probes,
-                         sink.size());
-        metrics.prefilter_skips->Add(prefilter_skips);
-        metrics.results->Add(sink.size());
-        ji::FlushIndexMetrics(packed_probes, cache.hits() + prep_hits,
-                              cache.misses() + prep_misses);
-      });
-      return MakeRDDFromPartitions(ctx, std::move(out));
+      return MakeRDDFromPartitions(
+          ctx, ji::Broadcast<Out>(
+                   ctx, std::move(right_parts), left_parts, pred, options,
+                   use_index, /*small_left=*/false,
+                   [&project](const L& l, const R& r) { return project(l, r); },
+                   [](size_t i) {
+                     return "L" + std::to_string(i) + "xR* (broadcast)";
+                   }));
     }
-    // Broadcast the left side; one task per right partition.
-    std::vector<L> small;
-    small.reserve(total_l);
-    for (auto& part : left_parts) {
-      for (auto& l : part) small.push_back(std::move(l));
-    }
-    PackedRTree<size_t> tree;
-    if (use_index) {
-      std::vector<std::pair<Envelope, size_t>> entries;
-      entries.reserve(small.size());
-      for (size_t e = 0; e < small.size(); ++e) {
-        entries.emplace_back(small[e].first.envelope(), e);
-      }
-      tree = PackedRTree<size_t>(options.index_order, std::move(entries));
-      metrics.tree_builds->Increment();
-    }
-    // Columnar refinement over the stable broadcast side (see the
-    // right-broadcast branch above); here the candidates fill the left
-    // operand slot.
-    std::unique_ptr<const ColumnarBatch> small_batch;
-    if (use_index && columnar::Enabled() && columnar_refine::Refinable(pred) &&
-        !small.empty() && small.size() <= UINT32_MAX) {
-      small_batch = std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-          small, [](const L& e) -> const STObject& { return e.first; }));
-      GlobalColumnarMetrics().batches->Increment();
-    }
-    std::vector<std::vector<Out>> out(nr);
-    ctx->RunTasks("spatial.join.broadcast", nr, [&](size_t j) {
-      std::vector<Out>& sink = out[j];
-      sink.clear();
-      size_t prefilter_skips = 0;
-      size_t probed = 0;
-      size_t packed_probes = 0;
-      size_t prep_hits = 0;
-      size_t prep_misses = 0;
-      PreparedGeometryCache cache;
-      columnar_refine::Stats cstats;
-      std::vector<uint32_t> cand;
-      std::vector<uint32_t> scratch;
-      auto refine = [&](const L& l, const R& r) {
-        return custom_fn ? pred.Eval(l.first, r.first)
-                         : EvalWithPreparedLeft(pred, l.first, r.first,
-                                                cache.Get(l.first.geo()));
-      };
-      for (const R& r : right_parts[j]) {
-        if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        if (small_batch != nullptr) {
-          cand.clear();
-          tree.Query(probe, [&](const Envelope&, const size_t& e) {
-            cand.push_back(static_cast<uint32_t>(e));
-          });
-          ++packed_probes;
-          if (!cand.empty()) {
-            const size_t in_count = cand.size();
-            PreparedGeometry prep(r.first.geo());
-            columnar_refine::RefineCandidates(
-                *small_batch, pred, r.first, prep, /*cand_left=*/true, &cand,
-                [&](uint32_t e) -> const STObject& { return small[e].first; },
-                &cstats, &scratch);
-            prep_misses += 1;
-            prep_hits += in_count - 1;
-            for (const uint32_t e : cand) sink.push_back(project(small[e], r));
-          }
-        } else if (use_index) {
-          tree.Query(probe, [&](const Envelope&, const size_t& e) {
-            if (refine(small[e], r)) sink.push_back(project(small[e], r));
-          });
-          ++packed_probes;
-        } else {
-          for (const L& l : small) {
-            if (pred.Prunable() && !probe.Intersects(l.first.envelope())) {
-              ++prefilter_skips;
-              continue;
-            }
-            if (refine(l, r)) sink.push_back(project(l, r));
-          }
-        }
-      }
-      if (small_batch != nullptr) {
-        const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-        cm.rows->Add(cstats.kernel_rows);
-        cm.fallbacks->Add(cstats.fallback_rows);
-        cm.slab_reuse->Increment();  // batch + envelope slab shared by task
-      }
-      ji::AnnotateSpan("L*xR" + std::to_string(j) + " (broadcast)" +
-                           ji::IndexDetail(packed_probes,
-                                           cache.hits() + prep_hits,
-                                           cache.misses() + prep_misses),
-                       right_parts[j].size(), sink.size(), packed_probes,
-                       sink.size());
-      metrics.prefilter_skips->Add(prefilter_skips);
-      metrics.results->Add(sink.size());
-      ji::FlushIndexMetrics(packed_probes, cache.hits() + prep_hits,
-                            cache.misses() + prep_misses);
-    });
-    return MakeRDDFromPartitions(ctx, std::move(out));
+    return MakeRDDFromPartitions(
+        ctx, ji::Broadcast<Out>(
+                 ctx, std::move(left_parts), right_parts, pred, options,
+                 use_index, /*small_left=*/true,
+                 [&project](const R& r, const L& l) { return project(l, r); },
+                 [](size_t j) {
+                   return "L*xR" + std::to_string(j) + " (broadcast)";
+                 }));
   }
 
   // ---- Partition-pair strategy (live index / nested loop) ----------------
@@ -527,44 +360,45 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   metrics.pairs_pruned->Add(pruned);
 
   // Build a live index over each participating left partition (once, not
-  // once per pair) — but only when the predicate can actually use it.
+  // once per pair) — but only when the predicate can actually use it — and
+  // the partition's slab, shared by every probe task that targets it
+  // (skew-split sub-tasks of one pair: engine.columnar.slab_reuse).
   std::vector<char> left_used(nl, 0);
   for (const auto& [i, j] : pairs) {
     (void)j;
     left_used[i] = 1;
   }
+  const bool use_slab = columnar_refine::Refinable(pred);
   std::vector<std::unique_ptr<PackedRTree<size_t>>> left_trees(nl);
-  // Columnar refinement: hoist the SoA batch build into the same stage that
-  // builds the live trees — one batch per participating left partition,
-  // reused by every probe task that targets it (skew-split sub-tasks of the
-  // same pair share one slab: engine.columnar.slab_reuse).
-  const bool use_columnar =
-      use_index && columnar::Enabled() && columnar_refine::Refinable(pred);
-  std::vector<std::unique_ptr<const ColumnarBatch>> left_batches(nl);
-  if (use_index) {
-    size_t builds = 0;
-    for (size_t i = 0; i < nl; ++i) builds += left_used[i] ? 1 : 0;
-    size_t batch_builds = 0;
+  std::vector<std::unique_ptr<const ColumnarBatch>> left_slabs(nl);
+  if (use_index || use_slab) {
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
       if (!left_used[i]) return;
-      std::vector<std::pair<Envelope, size_t>> entries;
-      entries.reserve(left_parts[i].size());
-      for (size_t e = 0; e < left_parts[i].size(); ++e) {
-        entries.emplace_back(left_parts[i][e].first.envelope(), e);
+      const std::vector<L>& part = left_parts[i];
+      if (use_index) {
+        std::vector<std::pair<Envelope, size_t>> entries;
+        entries.reserve(part.size());
+        for (size_t e = 0; e < part.size(); ++e) {
+          entries.emplace_back(part[e].first.envelope(), e);
+        }
+        left_trees[i] = std::make_unique<PackedRTree<size_t>>(
+            options.index_order, std::move(entries));
       }
-      left_trees[i] = std::make_unique<PackedRTree<size_t>>(
-          options.index_order, std::move(entries));
-      if (use_columnar && !left_parts[i].empty() &&
-          left_parts[i].size() <= UINT32_MAX) {
-        left_batches[i] =
-            std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-                left_parts[i],
-                [](const L& e) -> const STObject& { return e.first; }));
+      if (use_slab && !part.empty() && part.size() <= UINT32_MAX) {
+        left_slabs[i] = std::make_unique<const ColumnarBatch>(
+            ColumnarBatch::Build(part, [](const L& e) -> const STObject& {
+              return e.first;
+            }));
       }
     });
-    for (size_t i = 0; i < nl; ++i) batch_builds += left_batches[i] ? 1 : 0;
-    metrics.tree_builds->Add(builds);
-    GlobalColumnarMetrics().batches->Add(batch_builds);
+    size_t tree_builds = 0;
+    size_t slab_builds = 0;
+    for (size_t i = 0; i < nl; ++i) {
+      tree_builds += left_trees[i] ? 1 : 0;
+      slab_builds += left_slabs[i] ? 1 : 0;
+    }
+    metrics.tree_builds->Add(tree_builds);
+    GlobalColumnarMetrics().batches->Add(slab_builds);
   }
 
   // Plan the probe schedule: per-pair costs, skew splitting, longest-first.
@@ -574,98 +408,35 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   metrics.pairs_split->Add(pairs_split);
   metrics.subtasks->Add(tasks.size());
 
+  // Every right row of the task probes the left partition: its tree, or a
+  // scan of its rows ("No Indexing").
   std::vector<std::vector<Out>> out(tasks.size());
   ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
     const ji::ProbeTask& task = tasks[t];
     const std::vector<L>& lv = left_parts[task.left];
     const std::vector<R>& rv = right_parts[task.right];
+    const PackedRTree<size_t>* tree = left_trees[task.left].get();
+    const ColumnarBatch* slab = left_slabs[task.left].get();
     std::vector<Out>& sink = out[t];
     sink.clear();  // retry-idempotent: a re-run starts from scratch
-    size_t prefilter_skips = 0;
-    size_t packed_probes = 0;
-    size_t prep_hits = 0;
-    size_t prep_misses = 0;
-    if (use_index && left_batches[task.left] != nullptr) {
-      // Columnar probe: collect the tree's candidate rows, then refine them
-      // batch-at-a-time against the probe's prepared geometry. Survivors
-      // come back in candidate order, so emission matches the scalar path.
-      const PackedRTree<size_t>& tree = *left_trees[task.left];
-      const ColumnarBatch& batch = *left_batches[task.left];
-      columnar_refine::Stats cstats;
-      std::vector<uint32_t> cand;
-      std::vector<uint32_t> scratch;
-      if (task.begin != 0) {
-        // A skew-split sub-task reuses the slab its sibling built.
-        GlobalColumnarMetrics().slab_reuse->Increment();
-      }
-      for (size_t rix = task.begin; rix < task.end; ++rix) {
-        if (((rix - task.begin) & 1023u) == 0) ThrowIfTaskCancelled();
-        const R& r = rv[rix];
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        cand.clear();
-        tree.Query(probe, [&](const Envelope&, const size_t& e) {
-          cand.push_back(static_cast<uint32_t>(e));
-        });
-        ++packed_probes;
-        if (cand.empty()) continue;
-        const size_t in_count = cand.size();
-        PreparedGeometry prep(r.first.geo());
-        columnar_refine::RefineCandidates(
-            batch, pred, r.first, prep, /*cand_left=*/true, &cand,
-            [&](uint32_t e) -> const STObject& { return lv[e].first; },
-            &cstats, &scratch);
-        prep_misses += 1;
-        prep_hits += in_count - 1;
-        for (const uint32_t e : cand) sink.push_back(project(lv[e], r));
-      }
-      const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-      cm.rows->Add(cstats.kernel_rows);
-      cm.fallbacks->Add(cstats.fallback_rows);
-    } else if (use_index) {
-      const PackedRTree<size_t>& tree = *left_trees[task.left];
-      for (size_t rix = task.begin; rix < task.end; ++rix) {
-        // Cooperative checkpoint for cancellation/deadline/speculation.
-        if (((rix - task.begin) & 1023u) == 0) ThrowIfTaskCancelled();
-        const R& r = rv[rix];
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        // The probe row is the fixed operand for every candidate this
-        // query returns — prepare it lazily via a bound predicate.
-        BoundPredicate bound(pred, r.first,
-                             BoundPredicate::Side::kCandidateLeft);
-        tree.Query(probe, [&](const Envelope&, const size_t& e) {
-          if (bound.Eval(lv[e].first)) sink.push_back(project(lv[e], r));
-        });
-        ++packed_probes;
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
-      }
-    } else {
-      const bool prefilter = pred.Prunable();
-      size_t probed = 0;
-      for (const L& l : lv) {
-        if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-        const Envelope le = l.first.envelope().Expanded(margin);
-        BoundPredicate bound(pred, l.first,
-                             BoundPredicate::Side::kCandidateRight);
-        for (size_t rix = task.begin; rix < task.end; ++rix) {
-          const R& r = rv[rix];
-          if (prefilter && !le.Intersects(r.first.envelope())) {
-            ++prefilter_skips;
-            continue;
-          }
-          if (bound.Eval(r.first)) sink.push_back(project(l, r));
-        }
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
+    if (slab != nullptr && task.begin != 0) {
+      // A skew-split sub-task reuses the slab its sibling shares.
+      GlobalColumnarMetrics().slab_reuse->Increment();
+    }
+    Probe probe(pred, /*cand_left=*/true, slab);
+    auto obj = [&lv](size_t e) -> const STObject& { return lv[e].first; };
+    for (size_t rix = task.begin; rix < task.end; ++rix) {
+      const R& r = rv[rix];
+      auto keep = [&](size_t e) { sink.push_back(project(lv[e], r)); };
+      if (tree != nullptr) {
+        probe.Tree(*tree, r.first, obj, keep);
+      } else {
+        probe.Scan(lv.size(), r.first, obj, keep);
       }
     }
-    ji::AnnotateSpan(ji::TaskDetail(task, rv.size()) +
-                         ji::IndexDetail(packed_probes, prep_hits, prep_misses),
-                     task.end - task.begin, sink.size(), packed_probes,
-                     sink.size());
-    metrics.prefilter_skips->Add(prefilter_skips);
+    probe.Finish(ji::TaskDetail(task, rv.size()), task.end - task.begin);
+    metrics.prefilter_skips->Add(probe.envelope_skips());
     metrics.results->Add(sink.size());
-    ji::FlushIndexMetrics(packed_probes, prep_hits, prep_misses);
   });
 
   return MakeRDDFromPartitions(ctx, std::move(out));
@@ -677,9 +448,9 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
 /// path; every probed tree counts as an `engine.join.tree_reuse_hits`.
 ///
 /// Partition pairs are pruned with the extents captured at indexing time.
-/// A non-prunable predicate cannot use the trees; the elements are then
-/// scanned out of them into a nested loop (still no tree build). The
-/// broadcast strategy never applies here — the index is already paid for.
+/// A non-prunable predicate cannot query the trees; each probe then walks
+/// every tree entry (still no tree build). The broadcast strategy never
+/// applies here — the index is already paid for.
 template <typename V, typename W, typename Project>
 auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
                         const SpatialRDD<W>& right, const JoinPredicate& pred,
@@ -744,76 +515,33 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   }
   metrics.tree_reuse_hits->Add(reuse_hits);
 
-  // A non-prunable predicate cannot probe the trees; scan their elements
-  // out once per used partition and fall back to a nested loop. This is a
-  // flat copy, not an R-tree build.
-  const bool probe_trees = pred.Prunable();
-  std::vector<std::vector<L>> left_elems(nl);
-  if (!probe_trees) {
-    ctx->RunTasks("spatial.join.scan", nl, [&](size_t i) {
-      if (!left_used[i]) return;
-      std::vector<L>& elems = left_elems[i];
-      elems.clear();
-      elems.reserve(left_sizes[i]);
-      for (const TreePtr& tree : left_trees[i]) {
-        tree->ForEach([&](const Envelope&, const L& e) { elems.push_back(e); });
-      }
-    });
-  }
-
   size_t pairs_split = 0;
-  const std::vector<ji::ProbeTask> tasks = ji::PlanProbeTasks(
-      pairs, left_sizes, right_sizes, probe_trees, options, &pairs_split);
+  const std::vector<ji::ProbeTask> tasks =
+      ji::PlanProbeTasks(pairs, left_sizes, right_sizes, pred.Prunable(),
+                         options, &pairs_split);
   metrics.pairs_split->Add(pairs_split);
   metrics.subtasks->Add(tasks.size());
 
+  // The tree entries are the elements themselves (no slab), so candidates
+  // refine by scalar prepared evaluation. A non-prunable predicate walks
+  // every entry instead of querying.
   std::vector<std::vector<Out>> out(tasks.size());
   ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
     const ji::ProbeTask& task = tasks[t];
     const std::vector<R>& rv = right_parts[task.right];
     std::vector<Out>& sink = out[t];
     sink.clear();  // retry-idempotent: a re-run starts from scratch
-    size_t packed_probes = 0;
-    size_t prep_hits = 0;
-    size_t prep_misses = 0;
-    if (probe_trees) {
-      for (size_t rix = task.begin; rix < task.end; ++rix) {
-        // Cooperative checkpoint for cancellation/deadline/speculation.
-        if (((rix - task.begin) & 1023u) == 0) ThrowIfTaskCancelled();
-        const R& r = rv[rix];
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        BoundPredicate bound(pred, r.first,
-                             BoundPredicate::Side::kCandidateLeft);
-        for (const TreePtr& tree : left_trees[task.left]) {
-          tree->Query(probe, [&](const Envelope&, const L& l) {
-            if (bound.Eval(l.first)) sink.push_back(project(l, r));
-          });
-          ++packed_probes;
-        }
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
-      }
-    } else {
-      const std::vector<L>& lv = left_elems[task.left];
-      size_t probed = 0;
-      for (const L& l : lv) {
-        if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-        BoundPredicate bound(pred, l.first,
-                             BoundPredicate::Side::kCandidateRight);
-        for (size_t rix = task.begin; rix < task.end; ++rix) {
-          const R& r = rv[rix];
-          if (bound.Eval(r.first)) sink.push_back(project(l, r));
-        }
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
+    Probe probe(pred, /*cand_left=*/true);
+    auto obj = [](const L& l) -> const STObject& { return l.first; };
+    for (size_t rix = task.begin; rix < task.end; ++rix) {
+      const R& r = rv[rix];
+      auto keep = [&](const L& l) { sink.push_back(project(l, r)); };
+      for (const TreePtr& tree : left_trees[task.left]) {
+        probe.Tree(*tree, r.first, obj, keep);
       }
     }
-    ji::AnnotateSpan(ji::TaskDetail(task, rv.size()) +
-                         ji::IndexDetail(packed_probes, prep_hits, prep_misses),
-                     task.end - task.begin, sink.size(), packed_probes,
-                     sink.size());
+    probe.Finish(ji::TaskDetail(task, rv.size()), task.end - task.begin);
     metrics.results->Add(sink.size());
-    ji::FlushIndexMetrics(packed_probes, prep_hits, prep_misses);
   });
 
   return MakeRDDFromPartitions(ctx, std::move(out));

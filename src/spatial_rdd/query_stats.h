@@ -107,6 +107,22 @@ inline const FilterMetricSet& GlobalFilterMetrics() {
   return metrics;
 }
 
+/// Records one filter task that scanned a partition (\p scanned false for
+/// a pruned, empty one): into \p stats when non-null, and always into the
+/// global spatial.filter.* counters.
+inline void CountFilterTask(QueryStats* stats, bool scanned, size_t candidates,
+                            size_t results) {
+  if (stats != nullptr) {
+    if (scanned) ++stats->partitions_scanned;
+    stats->candidates += candidates;
+    stats->results += results;
+  }
+  const FilterMetricSet& global = GlobalFilterMetrics();
+  if (scanned) global.partitions_scanned->Increment();
+  global.candidates->Add(candidates);
+  global.results->Add(results);
+}
+
 /// Counters for the packed index / prepared-geometry hot path (PR 5):
 /// - engine.index.packed_probes: PackedRTree Query/Knn probes issued by the
 ///   spatial layer (one per query window or kNN search, not per node).

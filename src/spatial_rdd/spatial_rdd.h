@@ -21,11 +21,11 @@
 #include "core/stobject.h"
 #include "engine/rdd.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "obs/trace.h"
 #include "partition/partitioner.h"
 #include "spatial_rdd/columnar_refine.h"
 #include "spatial_rdd/predicate.h"
+#include "spatial_rdd/probe.h"
 #include "spatial_rdd/query_stats.h"
 #include "spatial_rdd/value_serde.h"
 
@@ -44,8 +44,7 @@ class SpatialRDD;
 ///
 /// The partition trees are *packed* R-trees (PackedRTree): STR bulk-loaded
 /// straight into the flat SoA layout, probed with the iterative templated
-/// traversal. Incrementally built RTree instances enter this layout via
-/// RTree::Freeze().
+/// traversal.
 template <typename V>
 class IndexedSpatialRDD {
  public:
@@ -77,12 +76,11 @@ class IndexedSpatialRDD {
                       QueryStats* stats = nullptr) const {
     const Envelope probe = query.envelope().Expanded(pred.EnvelopeMargin());
     auto extents = extents_;
-    const bool prunable = pred.Prunable();
     // Partition extents that cannot contribute are pruned before the trees
     // are even computed (§2.1) — with live indexing this skips building the
     // R-tree for pruned partitions entirely.
     RDD<TreePtr> source = trees_;
-    if (prunable && extents) {
+    if (pred.Prunable() && extents) {
       source = source.PrunePartitions([extents, probe, stats](size_t idx) {
         const bool keep =
             idx >= extents->size() || (*extents)[idx].Intersects(probe);
@@ -94,54 +92,18 @@ class IndexedSpatialRDD {
       });
     }
     return source.MapPartitionsWithIndex(
-        [query, pred, probe, prunable, stats](size_t,
-                                              std::vector<TreePtr> trees) {
+        [query, pred, stats](size_t, std::vector<TreePtr> trees) {
           std::vector<Element> out;
-          size_t candidates = 0;
-          size_t packed_probes = 0;
-          // The query geometry is refined against every candidate: bind it
-          // once so it is prepared on the first candidate and reused after.
-          BoundPredicate bound(pred, query,
-                               BoundPredicate::Side::kCandidateLeft);
-          auto refine = [&](const Element& e) {
-            ++candidates;
-            if (bound.Eval(e.first)) out.push_back(e);
-          };
+          Probe probe(pred, /*cand_left=*/true);
           for (const TreePtr& tree : trees) {
-            if (prunable) {
-              ++packed_probes;
-              tree->Query(probe, [&](const Envelope&, const Element& e) {
-                refine(e);
-              });
-            } else {
-              tree->ForEach([&](const Envelope&, const Element& e) {
-                refine(e);
-              });
-            }
+            probe.Tree(
+                *tree, query,
+                [](const Element& e) -> const STObject& { return e.first; },
+                [&out](const Element& e) { out.push_back(e); });
           }
-          if (stats) {
-            if (!trees.empty()) ++stats->partitions_scanned;
-            stats->candidates += candidates;
-            stats->results += out.size();
-          }
-          const FilterMetricSet& global = GlobalFilterMetrics();
-          if (!trees.empty()) global.partitions_scanned->Increment();
-          global.candidates->Add(candidates);
-          global.results->Add(out.size());
-          const IndexMetricSet& index_metrics = GlobalIndexMetrics();
-          index_metrics.packed_probes->Add(packed_probes);
-          index_metrics.prepared_hits->Add(bound.prepared_hits());
-          index_metrics.prepared_misses->Add(bound.prepared_misses());
-          if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-            span->detail = "packed_probes=" + std::to_string(packed_probes) +
-                           " prepared=" +
-                           std::to_string(bound.prepared_hits()) + "/" +
-                           std::to_string(bound.prepared_misses());
-            span->records_in = candidates;
-            span->records_out = out.size();
-            span->candidates = candidates;
-            span->refined = out.size();
-          }
+          CountFilterTask(stats, !trees.empty(), probe.candidates(),
+                          out.size());
+          probe.Finish("", probe.candidates());
           return out;
         });
   }
@@ -164,8 +126,9 @@ class IndexedSpatialRDD {
   /// Exact k nearest neighbors of \p query; results are (distance, element)
   /// sorted ascending. Defaults to the Euclidean geometry distance (tree
   /// branch-and-bound); a custom \p fn falls back to a per-partition scan,
-  /// since RTree::Knn's envelope lower bound is only valid for Euclidean
-  /// distance. A distance of NaN is treated as +infinity (never a neighbor).
+  /// since PackedRTree::Knn's envelope lower bound is only valid for
+  /// Euclidean distance. A distance of NaN is treated as +infinity (never a
+  /// neighbor).
   std::vector<std::pair<double, Element>> Knn(const STObject& query, size_t k,
                                               DistanceFunction fn = nullptr)
       const {
@@ -257,34 +220,21 @@ class IndexedSpatialRDD {
       BinaryWriter w;
       size_t count = 0;
       for (const TreePtr& tree : parts[p]) count += tree->size();
-      if (columnar::Enabled()) {
-        // Zero-copy slab format: all STObjects as one columnar batch
-        // (length-prefixed contiguous column blocks, a handful of bulk
-        // writes) followed by the payload column. Loaders that predate the
-        // format reject the magic instead of misreading.
-        w.WriteU32(kPartMagicColumnar);
-        ColumnarBatch batch;
-        batch.Reserve(count);
-        BinaryWriter payloads;
-        for (const TreePtr& tree : parts[p]) {
-          tree->ForEach([&batch, &payloads](const Envelope&,
-                                            const Element& e) {
-            batch.Append(e.first);
-            Serde<V>::Write(&payloads, e.second);
-          });
-        }
-        WriteColumnarBatch(&w, batch);
-        w.WriteRaw(payloads.buffer().data(), payloads.buffer().size());
-      } else {
-        w.WriteU32(kPartMagic);
-        w.WriteU64(count);
-        for (const TreePtr& tree : parts[p]) {
-          tree->ForEach([&w](const Envelope&, const Element& e) {
-            WriteSTObject(&w, e.first);
-            Serde<V>::Write(&w, e.second);
-          });
-        }
+      // Zero-copy slab format: all STObjects as one columnar batch
+      // (length-prefixed contiguous column blocks, a handful of bulk writes)
+      // followed by the payload column.
+      w.WriteU32(kPartMagic);
+      ColumnarBatch batch;
+      batch.Reserve(count);
+      BinaryWriter payloads;
+      for (const TreePtr& tree : parts[p]) {
+        tree->ForEach([&batch, &payloads](const Envelope&, const Element& e) {
+          batch.Append(e.first);
+          Serde<V>::Write(&payloads, e.second);
+        });
       }
+      WriteColumnarBatch(&w, batch);
+      w.WriteRaw(payloads.buffer().data(), payloads.buffer().size());
       STARK_RETURN_NOT_OK(
           WriteFileBytes(directory + "/part-" + std::to_string(p) + ".idx",
                          w.buffer()));
@@ -315,31 +265,17 @@ class IndexedSpatialRDD {
           ReadFileBytes(directory + "/part-" + std::to_string(p) + ".idx"));
       BinaryReader r(buf);
       STARK_ASSIGN_OR_RETURN(uint32_t part_magic, r.ReadU32());
-      if (part_magic != kPartMagic && part_magic != kPartMagicColumnar) {
+      if (part_magic != kPartMagic) {
         return Status::IOError("bad index part magic");
       }
+      STARK_ASSIGN_OR_RETURN(ColumnarBatch batch, ReadColumnarBatch(&r));
+      STARK_ASSIGN_OR_RETURN(std::vector<STObject> objs, batch.ToObjects());
       std::vector<std::pair<Envelope, Element>> entries;
-      if (part_magic == kPartMagicColumnar) {
-        // Slab format: bulk-read the column blocks, then the payloads.
-        STARK_ASSIGN_OR_RETURN(ColumnarBatch batch, ReadColumnarBatch(&r));
-        STARK_ASSIGN_OR_RETURN(std::vector<STObject> objs, batch.ToObjects());
-        entries.reserve(objs.size());
-        for (auto& obj : objs) {
-          STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
-          Envelope env = obj.envelope();
-          entries.emplace_back(env,
-                               Element{std::move(obj), std::move(value)});
-        }
-      } else {
-        STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-        entries.reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-          STARK_ASSIGN_OR_RETURN(STObject obj, ReadSTObject(&r));
-          STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
-          Envelope env = obj.envelope();
-          entries.emplace_back(env,
-                               Element{std::move(obj), std::move(value)});
-        }
+      entries.reserve(objs.size());
+      for (auto& obj : objs) {
+        STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
+        Envelope env = obj.envelope();
+        entries.emplace_back(env, Element{std::move(obj), std::move(value)});
       }
       parts[p].push_back(
           std::make_shared<PackedRTree<Element>>(order, std::move(entries)));
@@ -350,10 +286,9 @@ class IndexedSpatialRDD {
 
  private:
   static constexpr uint32_t kMetaMagic = 0x53544958;  // "STIX"
-  static constexpr uint32_t kPartMagic = 0x53544950;  // "STIP"
-  /// Columnar slab part format ("STIC"): one ColumnarBatch of the
-  /// STObjects followed by the Serde<V> payload column.
-  static constexpr uint32_t kPartMagicColumnar = 0x53544943;
+  /// Part format ("STIC"): one ColumnarBatch of the STObjects followed by
+  /// the Serde<V> payload column.
+  static constexpr uint32_t kPartMagic = 0x53544943;
 
   RDD<TreePtr> trees_;
   std::shared_ptr<std::vector<Envelope>> extents_;  // may be null
@@ -406,8 +341,14 @@ class SpatialRDD {
     return SpatialRDD(std::move(shuffled), std::move(p));
   }
 
-  /// Caches the underlying RDD.
-  SpatialRDD Cache() const { return SpatialRDD(rdd_.Cache(), partitioner_); }
+  /// Caches the underlying RDD. The returned wrapper also keeps the
+  /// columnar slab each filter builds per partition, so repeated filters
+  /// reuse them (engine.columnar.slab_reuse).
+  SpatialRDD Cache() const {
+    SpatialRDD cached(rdd_.Cache(), partitioner_);
+    cached.slabs_ = std::make_shared<SlabCache>();
+    return cached;
+  }
 
   // ---- Filter operators (unindexed scan + extent pruning) ---------------
 
@@ -449,90 +390,25 @@ class SpatialRDD {
             return keep;
           });
     }
-    // Columnar plane: envelope-prefilter over the partition's SoA slabs,
-    // then batched refinement — identical results and emission order to the
-    // scalar loop below (the kernels replicate BoundPredicate::Eval's
-    // arithmetic exactly). The batch is built once per partition and cached
-    // on this SpatialRDD, so repeated filters reuse the slabs.
-    const bool use_columnar =
-        columnar::Enabled() && columnar_refine::Refinable(pred);
-    auto cache = columnar_cache_;
+    // Envelope kernel over the partition's slab, then batched refinement.
+    // Only the wrapper Cache() returned keeps its slabs across filters: its
+    // partitions cannot change, while any other lineage may recompute
+    // different rows, so it builds its slab per task.
+    auto slabs = slabs_;
     return source.MapPartitionsWithIndex(
-        [query, pred, stats, use_columnar, cache,
-         probe](size_t idx, std::vector<Element> items) {
+        [query, pred, stats, slabs](size_t idx, std::vector<Element> items) {
+          std::shared_ptr<const ColumnarBatch> slab;
+          if (columnar_refine::Refinable(pred) && !items.empty()) {
+            slab = SlabFor(slabs.get(), idx, items);
+          }
           std::vector<Element> out;
-          size_t prepared_hits = 0;
-          size_t prepared_misses = 0;
-          if (use_columnar && !items.empty()) {
-            const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-            std::shared_ptr<const ColumnarBatch> batch;
-            {
-              std::lock_guard<std::mutex> lock(cache->mu);
-              auto it = cache->batches.find(idx);
-              if (it != cache->batches.end() &&
-                  it->second->rows() == items.size()) {
-                batch = it->second;
-              }
-            }
-            if (batch != nullptr) {
-              cm.slab_reuse->Increment();
-            } else {
-              auto built = std::make_shared<ColumnarBatch>(ColumnarBatch::Build(
-                  items,
-                  [](const Element& e) -> const STObject& { return e.first; }));
-              std::lock_guard<std::mutex> lock(cache->mu);
-              cache->batches[idx] = built;
-              batch = std::move(built);
-              cm.batches->Increment();
-            }
-            std::vector<uint32_t> cand;
-            FilterEnvelopesBatch(batch->envelopes(), probe, &cand);
-            columnar_refine::Stats cstats;
-            if (!cand.empty()) {
-              PreparedGeometry prep(query.geo());
-              std::vector<uint32_t> scratch;
-              columnar_refine::RefineCandidates(
-                  *batch, pred, query, prep, /*cand_left=*/true, &cand,
-                  [&items](uint32_t j) -> const STObject& {
-                    return items[j].first;
-                  },
-                  &cstats, &scratch);
-              const size_t refined = cstats.kernel_rows + cstats.fallback_rows;
-              prepared_misses = refined > 0 ? 1 : 0;
-              prepared_hits = refined > 0 ? refined - 1 : 0;
-            }
-            out.reserve(cand.size());
-            for (const uint32_t j : cand) out.push_back(std::move(items[j]));
-            cm.rows->Add(cstats.kernel_rows);
-            cm.fallbacks->Add(cstats.fallback_rows);
-          } else {
-            // Prepared refinement: the query geometry is prepared on the
-            // first element and reused for the rest of the partition.
-            BoundPredicate bound(pred, query,
-                                 BoundPredicate::Side::kCandidateLeft);
-            for (auto& e : items) {
-              if (bound.Eval(e.first)) out.push_back(std::move(e));
-            }
-            prepared_hits = bound.prepared_hits();
-            prepared_misses = bound.prepared_misses();
-            if (!items.empty() && columnar::Enabled()) {
-              // Columnar was on but this predicate can't go through the
-              // kernels (custom distance fn): the whole partition fell back.
-              GlobalColumnarMetrics().fallbacks->Add(items.size());
-            }
-          }
-          if (stats) {
-            if (!items.empty()) ++stats->partitions_scanned;
-            stats->candidates += items.size();
-            stats->results += out.size();
-          }
-          const FilterMetricSet& global = GlobalFilterMetrics();
-          if (!items.empty()) global.partitions_scanned->Increment();
-          global.candidates->Add(items.size());
-          global.results->Add(out.size());
-          const IndexMetricSet& index_metrics = GlobalIndexMetrics();
-          index_metrics.prepared_hits->Add(prepared_hits);
-          index_metrics.prepared_misses->Add(prepared_misses);
+          Probe probe(pred, /*cand_left=*/true, slab.get());
+          probe.Scan(
+              items.size(), query,
+              [&items](size_t j) -> const STObject& { return items[j].first; },
+              [&](size_t j) { out.push_back(std::move(items[j])); });
+          CountFilterTask(stats, !items.empty(), items.size(), out.size());
+          probe.Finish("", items.size());
           return out;
         });
   }
@@ -643,21 +519,38 @@ class SpatialRDD {
     return extents;
   }
 
-  /// Lazily-built columnar slabs, one ColumnarBatch per partition index.
-  /// Shared by copies of this wrapper so repeated filters over the same
-  /// dataset reuse the slabs instead of rebuilding them per query
-  /// (engine.columnar.slab_reuse); entries are revalidated against the
-  /// partition's row count before reuse. Partition contents are stable
-  /// because RDD lineage recomputation is deterministic.
-  struct ColumnarCache {
+  /// Filter slabs of a cached dataset, one ColumnarBatch per partition.
+  struct SlabCache {
     std::mutex mu;
-    std::unordered_map<size_t, std::shared_ptr<const ColumnarBatch>> batches;
+    std::unordered_map<size_t, std::shared_ptr<const ColumnarBatch>> slabs;
   };
+
+  /// The slab of partition \p idx: taken from \p cache when it holds one,
+  /// else built from \p items (and kept in \p cache when there is one).
+  static std::shared_ptr<const ColumnarBatch> SlabFor(
+      SlabCache* cache, size_t idx, const std::vector<Element>& items) {
+    const ColumnarMetricSet& metrics = GlobalColumnarMetrics();
+    if (cache != nullptr) {
+      std::lock_guard<std::mutex> lock(cache->mu);
+      auto it = cache->slabs.find(idx);
+      if (it != cache->slabs.end()) {
+        metrics.slab_reuse->Increment();
+        return it->second;
+      }
+    }
+    auto slab = std::make_shared<const ColumnarBatch>(ColumnarBatch::Build(
+        items, [](const Element& e) -> const STObject& { return e.first; }));
+    metrics.batches->Increment();
+    if (cache != nullptr) {
+      std::lock_guard<std::mutex> lock(cache->mu);
+      cache->slabs.emplace(idx, slab);
+    }
+    return slab;
+  }
 
   RDD<Element> rdd_;
   std::shared_ptr<SpatialPartitioner> partitioner_;
-  std::shared_ptr<ColumnarCache> columnar_cache_ =
-      std::make_shared<ColumnarCache>();
+  std::shared_ptr<SlabCache> slabs_;  // set only by Cache()
 };
 
 /// Mirrors STARK's implicit Scala conversion: lifts a plain engine RDD of

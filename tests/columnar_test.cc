@@ -2,9 +2,10 @@
 // fuzz corpus (NaN coordinates, empty-envelope sentinels, degenerate
 // shapes), batch-vs-scalar differentials for every refinement kernel, the
 // slab wire format against the per-object serde, the checkpoint slab
-// encoding, the CSV point fast path, and the filter kill-switch
-// differential. The contract everywhere is exactness: the columnar plane
-// must be byte-for-byte indistinguishable from the per-object paths.
+// encoding and the CSV point fast path. The contract everywhere is
+// exactness: the columnar plane must be byte-for-byte indistinguishable
+// from the per-object paths. Query-path differentials live in
+// probe_test.cc.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -22,17 +23,16 @@
 #include "core/st_serde.h"
 #include "core/stobject.h"
 #include "engine/checkpoint.h"
+#include "engine/context.h"
 #include "engine/rdd.h"
 #include "geometry/kernels.h"
 #include "geometry/predicates.h"
 #include "geometry/prepared.h"
 #include "geometry/wkt.h"
 #include "io/csv.h"
-#include "io/generator.h"
 #include "obs/metrics.h"
 #include "spatial_rdd/columnar_refine.h"
 #include "spatial_rdd/predicate.h"
-#include "spatial_rdd/spatial_rdd.h"
 #include "spatial_rdd/value_serde.h"
 #include "test_util.h"
 
@@ -392,63 +392,10 @@ TEST(ColumnarRefineTest, AllPointsBatchStaysOnKernels) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: filter kill-switch differential, checkpoint slabs, CSV ingest
+// End-to-end: checkpoint slabs, CSV ingest
 // ---------------------------------------------------------------------------
 
-class ColumnarEndToEndTest : public ::testing::Test {
- protected:
-  void TearDown() override { columnar::SetEnabled(true); }
-};
-
-TEST_F(ColumnarEndToEndTest, FilterAgreesWithKillSwitchOff) {
-  SkewedPointsOptions gen;
-  gen.count = 1500;
-  gen.universe = Envelope(0, 0, 100, 100);
-  gen.seed = 61;
-  auto points = GenerateSkewedPoints(gen);
-  Rng rng(62);
-  std::vector<std::pair<STObject, int64_t>> data;
-  for (size_t i = 0; i < points.size(); ++i) {
-    STObject obj = (i % 2 == 0)
-                       ? STObject(points[i].geo(), rng.UniformInt(0, 1000))
-                       : points[i];
-    data.emplace_back(std::move(obj), static_cast<int64_t>(i));
-  }
-  // A couple of non-point rows force the mixed-batch merge path.
-  data.emplace_back(STObject(Geometry::MakeBox(Envelope(30, 30, 40, 40))),
-                    9001);
-  data.emplace_back(
-      STObject(Geometry::MakeBox(Envelope(50, 20, 55, 26)), Instant{500}),
-      9002);
-
-  Context ctx(4);
-  const STObject query(Geometry::MakeBox(Envelope(20, 20, 60, 55)),
-                       Instant{100}, Instant{700});
-  const uint64_t rows_before = GlobalColumnarMetrics().rows->Value();
-  for (const JoinPredicate& pred :
-       {JoinPredicate::Intersects(), JoinPredicate::Contains(),
-        JoinPredicate::ContainedBy(), JoinPredicate::WithinDistance(7.0)}) {
-    columnar::SetEnabled(true);
-    auto on = SpatialRDD<int64_t>::FromVector(&ctx, data, 4)
-                  .Filter(query, pred)
-                  .Collect();
-    columnar::SetEnabled(false);
-    auto off = SpatialRDD<int64_t>::FromVector(&ctx, data, 4)
-                   .Filter(query, pred)
-                   .Collect();
-    ASSERT_EQ(on.size(), off.size()) << PredicateName(pred.type);
-    for (size_t i = 0; i < on.size(); ++i) {
-      ASSERT_EQ(on[i].second, off[i].second)
-          << PredicateName(pred.type) << " row " << i;
-      ASSERT_EQ(STBytes(on[i].first), STBytes(off[i].first))
-          << PredicateName(pred.type) << " row " << i;
-    }
-  }
-  // The enabled runs must actually have gone through the kernels.
-  EXPECT_GT(GlobalColumnarMetrics().rows->Value(), rows_before);
-}
-
-TEST_F(ColumnarEndToEndTest, CheckpointColumnarPartsRoundTrip) {
+TEST(ColumnarEndToEndTest, CheckpointColumnarPartsRoundTrip) {
   using Element = std::pair<STObject, int64_t>;
   const std::vector<Geometry> pop = RandomPopulation(/*seed=*/135, 60);
   const std::vector<STObject> objs = MakeObjects(pop);
@@ -460,7 +407,6 @@ TEST_F(ColumnarEndToEndTest, CheckpointColumnarPartsRoundTrip) {
   const std::string dir = test::UniqueTempPath("columnar_ckpt");
   ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()), 0);
 
-  columnar::SetEnabled(true);
   ASSERT_TRUE(Checkpoint(MakeRDD(&ctx, data, 3), dir).ok());
   auto loaded = LoadCheckpoint<Element>(&ctx, dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -470,13 +416,6 @@ TEST_F(ColumnarEndToEndTest, CheckpointColumnarPartsRoundTrip) {
     ASSERT_EQ(got[i].second, data[i].second);
     ASSERT_EQ(STBytes(got[i].first), STBytes(data[i].first)) << "row " << i;
   }
-
-  // The same directory read with the kill-switch off decodes identically —
-  // the format is self-describing via the part magic.
-  columnar::SetEnabled(false);
-  auto loaded_off = LoadCheckpoint<Element>(&ctx, dir);
-  ASSERT_TRUE(loaded_off.ok());
-  EXPECT_EQ(loaded_off.ValueOrDie().Collect().size(), data.size());
   std::system(("rm -rf " + dir).c_str());
 }
 

@@ -1,8 +1,8 @@
-// Differential testing of the packed (flat SoA) R-tree against the classic
-// pointer-based RTree and a brute-force oracle: same candidates for window
-// queries, same kNN distances, same depth/bounds — across orders, random
-// mixed-geometry populations, duplicates, and degenerate sizes. Also unit
-// tests of the branchless FilterEnvelopesBatch kernel the leaf scans use.
+// Tests of the packed (flat SoA) R-tree against a brute-force oracle: same
+// candidates for window queries and same kNN distances across orders (the
+// paper's liveIndex `order`), random mixed-geometry populations,
+// duplicates, and degenerate sizes. Also unit tests of the branchless
+// FilterEnvelopesBatch kernel the leaf scans use.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -18,7 +18,6 @@
 #include "geometry/kernels.h"
 #include "geometry/predicates.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "test_util.h"
 
 namespace stark {
@@ -57,36 +56,91 @@ std::multiset<size_t> TreeCandidates(const Tree& tree, const Envelope& query) {
 }
 
 // ---------------------------------------------------------------------------
-// Window queries: packed vs classic vs brute force
+// Window queries, kNN and traversal across orders
 // ---------------------------------------------------------------------------
 
-TEST(PackedRTreeTest, QueryMatchesClassicAndBruteForceAcrossOrders) {
+class RTreeOrderTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RTreeOrderTest, BulkLoadMatchesBruteForce) {
+  const size_t order = GetParam();
   const std::vector<Geometry> pop = RandomPopulation(/*seed=*/20260807, 400);
   const auto entries = EntriesFor(pop);
+  PackedRTree<size_t> tree(order, entries);
+  ASSERT_EQ(tree.size(), pop.size());
 
-  for (size_t order : {2u, 3u, 5u, 10u, 32u}) {
-    RTree<size_t> classic(order);
-    classic.BulkLoad(entries);
-    PackedRTree<size_t> packed(order, entries);
-    ASSERT_EQ(packed.size(), pop.size());
-    ASSERT_EQ(packed.Depth(), classic.Depth()) << "order " << order;
-    ASSERT_EQ(packed.bounds().min_x(), classic.bounds().min_x());
-    ASSERT_EQ(packed.bounds().max_y(), classic.bounds().max_y());
-
-    Rng rng(1000 + order);
-    size_t nonempty = 0;
-    for (int q = 0; q < 150; ++q) {
-      const Envelope query = RandomEnvelope(&rng, 25.0);
-      const std::multiset<size_t> expected =
-          BruteForceCandidates(entries, query);
-      ASSERT_EQ(TreeCandidates(packed, query), expected)
-          << "order " << order << " query " << q;
-      ASSERT_EQ(TreeCandidates(classic, query), expected)
-          << "order " << order << " query " << q;
-      if (!expected.empty()) ++nonempty;
-    }
-    EXPECT_GT(nonempty, 100u) << "order " << order;
+  Rng rng(1000 + order);
+  size_t nonempty = 0;
+  for (int q = 0; q < 150; ++q) {
+    const Envelope query = RandomEnvelope(&rng, 25.0);
+    const std::multiset<size_t> expected = BruteForceCandidates(entries, query);
+    ASSERT_EQ(TreeCandidates(tree, query), expected) << "query " << q;
+    if (!expected.empty()) ++nonempty;
   }
+  EXPECT_GT(nonempty, 100u);
+}
+
+TEST_P(RTreeOrderTest, KnnMatchesBruteForce) {
+  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/909, 250);
+  PackedRTree<size_t> tree(GetParam(), EntriesFor(pop));
+
+  Rng rng(606);
+  for (int q = 0; q < 60; ++q) {
+    const Coordinate c{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
+    const Geometry probe = Geometry::MakePoint(c);
+    const size_t k = 1 + static_cast<size_t>(q % 12);
+    auto hits = tree.Knn(c, k, [&](const size_t& id) {
+      return Distance(pop[id], probe);
+    });
+
+    // Brute-force k smallest exact distances.
+    std::vector<double> all;
+    all.reserve(pop.size());
+    for (const Geometry& g : pop) all.push_back(Distance(g, probe));
+    std::sort(all.begin(), all.end());
+    all.resize(std::min(k, all.size()));
+
+    ASSERT_EQ(hits.size(), all.size()) << "query " << q;
+    for (size_t i = 0; i < all.size(); ++i) {
+      // Ties may order arbitrarily, but the distance sequence is unique.
+      EXPECT_DOUBLE_EQ(hits[i].first, all[i]) << "query " << q;
+    }
+  }
+}
+
+TEST_P(RTreeOrderTest, ForEachVisitsEverything) {
+  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/36, 200);
+  PackedRTree<size_t> tree(GetParam(), EntriesFor(pop));
+  std::multiset<size_t> seen;
+  tree.ForEach([&](const Envelope&, const size_t& id) { seen.insert(id); });
+  ASSERT_EQ(seen.size(), pop.size());
+  for (size_t id = 0; id < pop.size(); ++id) EXPECT_EQ(seen.count(id), 1u);
+}
+
+TEST_P(RTreeOrderTest, BoundsCoverAllEntries) {
+  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/37, 300);
+  PackedRTree<size_t> tree(GetParam(), EntriesFor(pop));
+  for (const Geometry& g : pop) {
+    EXPECT_TRUE(tree.bounds().Contains(g.envelope()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, RTreeOrderTest,
+                         ::testing::Values(2, 3, 5, 10, 32),
+                         [](const auto& info) {
+                           return "order" + std::to_string(info.param);
+                         });
+
+TEST(RTreeTest, OrderIsClampedToAtLeastTwo) {
+  PackedRTree<size_t> tree(0, EntriesFor(RandomPopulation(/*seed=*/39, 5)));
+  EXPECT_GE(tree.order(), 2u);
+}
+
+TEST(RTreeTest, DepthGrowsWithSize) {
+  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/38, 200);
+  PackedRTree<size_t> small(4, EntriesFor({pop[0]}));
+  EXPECT_EQ(small.Depth(), 1u);
+  PackedRTree<size_t> big(4, EntriesFor(pop));
+  EXPECT_GT(big.Depth(), 2u);
 }
 
 TEST(PackedRTreeTest, QueryCandidatesAndForEachCoverEveryEntry) {
@@ -135,69 +189,6 @@ TEST(PackedRTreeTest, DuplicateEnvelopesAllReported) {
   const auto got = TreeCandidates(packed, Envelope(0, 0, 10, 10));
   EXPECT_EQ(got.size(), 37u);
   for (size_t i = 0; i < 37; ++i) EXPECT_EQ(got.count(i), 1u) << i;
-}
-
-// ---------------------------------------------------------------------------
-// kNN: packed vs classic vs brute force
-// ---------------------------------------------------------------------------
-
-TEST(PackedRTreeTest, KnnMatchesClassicAndBruteForce) {
-  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/909, 250);
-  const auto entries = EntriesFor(pop);
-  RTree<size_t> classic(7);
-  classic.BulkLoad(entries);
-  PackedRTree<size_t> packed(7, entries);
-
-  Rng rng(606);
-  for (int q = 0; q < 60; ++q) {
-    const Coordinate c{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    const Geometry probe = Geometry::MakePoint(c);
-    const size_t k = 1 + static_cast<size_t>(q % 12);
-
-    auto packed_hits = packed.Knn(c, k, [&](const size_t& id) {
-      return Distance(pop[id], probe);
-    });
-    auto classic_hits = classic.Knn(c, k, [&](const size_t& id) {
-      return Distance(pop[id], probe);
-    });
-
-    // Brute-force k smallest exact distances.
-    std::vector<double> all;
-    all.reserve(pop.size());
-    for (const Geometry& g : pop) all.push_back(Distance(g, probe));
-    std::sort(all.begin(), all.end());
-    all.resize(std::min(k, all.size()));
-
-    ASSERT_EQ(packed_hits.size(), all.size()) << "query " << q;
-    ASSERT_EQ(classic_hits.size(), all.size()) << "query " << q;
-    for (size_t i = 0; i < all.size(); ++i) {
-      // Ties may order arbitrarily, but the distance sequence is unique.
-      EXPECT_DOUBLE_EQ(packed_hits[i].first, all[i]) << "query " << q;
-      EXPECT_DOUBLE_EQ(classic_hits[i].first, all[i]) << "query " << q;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Freeze(): classic incremental tree -> packed tree
-// ---------------------------------------------------------------------------
-
-TEST(PackedRTreeTest, FreezeOfIncrementalTreeAnswersIdentically) {
-  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/313, 300);
-  const auto entries = EntriesFor(pop);
-  RTree<size_t> incremental(5);
-  for (const auto& [env, id] : entries) incremental.Insert(env, id);
-  ASSERT_TRUE(incremental.CheckInvariants());
-  const PackedRTree<size_t> frozen = incremental.Freeze();
-  ASSERT_EQ(frozen.size(), incremental.size());
-
-  Rng rng(515);
-  for (int q = 0; q < 100; ++q) {
-    const Envelope query = RandomEnvelope(&rng, 30.0);
-    ASSERT_EQ(TreeCandidates(frozen, query),
-              BruteForceCandidates(entries, query))
-        << "query " << q;
-  }
 }
 
 // ---------------------------------------------------------------------------

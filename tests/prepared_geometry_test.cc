@@ -138,23 +138,5 @@ TEST(BoundPredicateTest, CustomDistanceFunctionBypassesPreparation) {
   EXPECT_EQ(bound.prepared_hits(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// PreparedGeometryCache bookkeeping
-// ---------------------------------------------------------------------------
-
-TEST(PreparedGeometryCacheTest, OneMissPerDistinctGeometry) {
-  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/888, 10);
-  PreparedGeometryCache cache;
-  for (int round = 0; round < 4; ++round) {
-    for (const Geometry& g : pop) {
-      const PreparedGeometry& p = cache.Get(g);
-      ASSERT_EQ(&p.geometry(), &g);
-    }
-  }
-  EXPECT_EQ(cache.misses(), pop.size());
-  EXPECT_EQ(cache.hits(), 3 * pop.size());
-  EXPECT_EQ(cache.size(), pop.size());
-}
-
 }  // namespace
 }  // namespace stark

@@ -321,6 +321,16 @@ TEST_F(ServeTest, ConcurrentSubmitsOnOneSessionWithDeadline) {
 TEST_F(ServeTest, DeadlineCancelStorm) {
   obs::DefaultFlightRecorder().Enable();
 
+  // Every storm query dumps 2000 rows, so the queue of 100 takes far
+  // longer than the 1 ms deadline to drain on 2 workers however fast the
+  // engine formats a row.
+  ASSERT_TRUE(catalog_.CreateDataset("storm", 8).ok());
+  ASSERT_TRUE(catalog_.Ingest("storm", GridEvents(2000)).ok());
+  constexpr char kStormScript[] =
+      "hits = FILTER storm BY INTERSECTS('POLYGON((-1 -1, 11 -1, 11 201, "
+      "-1 201, -1 -1))', 0, 2000);\n"
+      "DUMP hits;\n";
+
   ServerOptions options;
   options.query_threads = 2;
   options.engine_threads = 2;
@@ -344,7 +354,7 @@ TEST_F(ServeTest, DeadlineCancelStorm) {
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(kQueries);
   for (std::unique_ptr<Session>& s : sessions) {
-    futures.push_back(s->Submit(kFilterScript));
+    futures.push_back(s->Submit(kStormScript));
   }
 
   size_t ok = 0, deadline = 0, cancelled = 0, shed = 0, other = 0;

@@ -1,4 +1,11 @@
 // Tests for the WKT parser and writer.
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -102,6 +109,75 @@ TEST(WktWriteTest, CanonicalForms) {
 TEST(WktWriteTest, CompactNumberFormatting) {
   EXPECT_EQ(ParseWkt("POINT(0.5 100000)").ValueOrDie().ToWkt(),
             "POINT (0.5 100000)");
+}
+
+/// The writer's earlier number formatter, kept as the reference: integral
+/// values as integers, otherwise the first printf %.{p}g precision whose
+/// text scans back to the value, else %.17g. The range test runs before
+/// the cast, which is undefined for NaN and out-of-range values.
+std::string ReferenceNumber(double v) {
+  char buf[32];
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    return buf;
+  }
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  for (int prec = 1; prec < 17; ++prec) {
+    char probe[32];
+    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
+    double back = 0.0;
+    std::sscanf(probe, "%lf", &back);
+    if (back == v) return probe;
+  }
+  return std::string(buf, static_cast<size_t>(n));
+}
+
+double FromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// The shortest-round-trip formatter must print exactly what the printf
+// search printed: random values across magnitudes, random bit patterns,
+// subnormals, every power of two and its neighbours, zeros, the integral
+// cut-off at 1e15, infinities and NaN.
+TEST(WktWriteTest, NumberFormattingMatchesReference) {
+  std::vector<double> corpus = {0.0, -0.0, 1e15, -1e15,
+                                std::nextafter(1e15, 0.0),
+                                std::nextafter(1e15, 2e15),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(2026);
+  for (int i = 0; i < 8000; ++i) {
+    const double scale = std::pow(10.0, static_cast<double>(i % 40 - 20));
+    corpus.push_back(rng.Uniform(-1000, 1000) * scale);
+    const uint64_t bits = (static_cast<uint64_t>(rng.UniformInt(0, INT64_MAX))
+                           << 1) | static_cast<uint64_t>(i & 1);
+    corpus.push_back(FromBits(bits));
+    // Subnormal: zero exponent field, random mantissa and sign.
+    corpus.push_back(FromBits(bits & ((uint64_t{1} << 52) - 1)) *
+                     (i % 2 == 0 ? 1.0 : -1.0));
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p, std::nextafter(p, 0.0),
+                           std::nextafter(p, HUGE_VAL)}) {
+      corpus.push_back(v);
+      corpus.push_back(-v);
+    }
+  }
+  size_t mismatches = 0;
+  for (const double v : corpus) {
+    const std::string expected = "POINT (" + ReferenceNumber(v) + " 0)";
+    const std::string got = WriteWkt(Geometry::MakePoint({v, 0.0}));
+    if (got != expected && ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << ": " << got << " vs " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << corpus.size();
 }
 
 // Property: parse(write(g)) == g for random geometries of every type.
