@@ -143,6 +143,107 @@ TEST(RTreeTest, DepthGrowsWithSize) {
   EXPECT_GT(big.Depth(), 2u);
 }
 
+TEST(RTreeTest, EmptyTree) {
+  PackedRTree<int> tree(4, {});
+  EXPECT_TRUE(tree.empty());
+  EXPECT_EQ(tree.size(), 0u);
+  int hits = 0;
+  tree.Query(Envelope(-1e9, -1e9, 1e9, 1e9),
+             [&](const Envelope&, const int&) { ++hits; });
+  EXPECT_EQ(hits, 0);
+  EXPECT_TRUE(tree.Knn({0, 0}, 3, [](const int&) { return 0.0; }).empty());
+}
+
+TEST(RTreeTest, SingleEntry) {
+  std::vector<std::pair<Envelope, size_t>> one;
+  one.emplace_back(Envelope(0, 0, 1, 1), 7u);
+  PackedRTree<size_t> tree(4, one);
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_EQ(TreeCandidates(tree, Envelope(0.5, 0.5, 2, 2)),
+            (std::multiset<size_t>{7}));
+  EXPECT_TRUE(TreeCandidates(tree, Envelope(5, 5, 6, 6)).empty());
+}
+
+TEST(RTreeTest, DuplicateEnvelopesAllReturned) {
+  std::vector<std::pair<Envelope, size_t>> entries;
+  for (size_t i = 0; i < 20; ++i) entries.emplace_back(Envelope(1, 1, 2, 2), i);
+  PackedRTree<size_t> tree(4, entries);
+  EXPECT_EQ(TreeCandidates(tree, Envelope(0, 0, 3, 3)).size(), 20u);
+}
+
+// ---------------------------------------------------------------------------
+// Packed tree vs a classic linear scan and brute force. The linear scan is
+// the FilterEnvelopesBatch pass Probe runs when a partition has no tree.
+// ---------------------------------------------------------------------------
+
+TEST(PackedRTreeTest, QueryMatchesClassicAndBruteForceAcrossOrders) {
+  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/20260807, 400);
+  const auto entries = EntriesFor(pop);
+  EnvelopeSoA soa;
+  Envelope all_bounds;
+  for (const auto& [env, id] : entries) {
+    soa.PushBack(env);
+    all_bounds.ExpandToInclude(env);
+  }
+
+  for (size_t order : {2u, 3u, 5u, 10u, 32u}) {
+    PackedRTree<size_t> packed(order, entries);
+    ASSERT_EQ(packed.size(), pop.size());
+    ASSERT_TRUE(packed.bounds() == all_bounds) << "order " << order;
+
+    Rng rng(1000 + order);
+    size_t nonempty = 0;
+    for (int q = 0; q < 150; ++q) {
+      const Envelope query = RandomEnvelope(&rng, 25.0);
+      const std::multiset<size_t> expected =
+          BruteForceCandidates(entries, query);
+      std::vector<uint32_t> scanned;
+      FilterEnvelopesBatch(soa, query, &scanned);
+      ASSERT_EQ(std::multiset<size_t>(scanned.begin(), scanned.end()),
+                expected)
+          << "order " << order << " query " << q;
+      ASSERT_EQ(TreeCandidates(packed, query), expected)
+          << "order " << order << " query " << q;
+      if (!expected.empty()) ++nonempty;
+    }
+    EXPECT_GT(nonempty, 100u) << "order " << order;
+  }
+}
+
+TEST(PackedRTreeTest, KnnMatchesClassicAndBruteForce) {
+  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/909, 250);
+  PackedRTree<size_t> packed(7, EntriesFor(pop));
+
+  Rng rng(606);
+  for (int q = 0; q < 60; ++q) {
+    const Coordinate c{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
+    const Geometry probe = Geometry::MakePoint(c);
+    const size_t k = 1 + static_cast<size_t>(q % 12);
+
+    auto hits = packed.Knn(c, k, [&](const size_t& id) {
+      return Distance(pop[id], probe);
+    });
+
+    // Classic linear scan: exact distance to every entry, k smallest.
+    std::vector<double> all;
+    all.reserve(pop.size());
+    for (const Geometry& g : pop) all.push_back(Distance(g, probe));
+    std::sort(all.begin(), all.end());
+    all.resize(std::min(k, all.size()));
+
+    ASSERT_EQ(hits.size(), all.size()) << "query " << q;
+    std::set<size_t> ids;
+    for (size_t i = 0; i < all.size(); ++i) {
+      // Ties may order arbitrarily, but the distance sequence is unique.
+      EXPECT_DOUBLE_EQ(hits[i].first, all[i]) << "query " << q;
+      // Each hit carries its own entry's distance, and no entry twice.
+      EXPECT_DOUBLE_EQ(hits[i].first, Distance(pop[*hits[i].second], probe))
+          << "query " << q;
+      EXPECT_TRUE(ids.insert(*hits[i].second).second) << "query " << q;
+    }
+  }
+}
+
 TEST(PackedRTreeTest, QueryCandidatesAndForEachCoverEveryEntry) {
   const std::vector<Geometry> pop = RandomPopulation(/*seed=*/77, 123);
   PackedRTree<size_t> packed(8, EntriesFor(pop));
