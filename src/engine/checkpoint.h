@@ -148,8 +148,9 @@ template <typename T>
 Status Checkpoint(const RDD<T>& rdd, const std::string& directory) {
   static fault::FailPoint* const write_fp =
       fault::DefaultFailPoints().Get("engine.checkpoint.write");
-  STARK_ASSIGN_OR_RETURN(const std::vector<std::vector<T>> parts,
-                         rdd.TryCollectPartitions());
+  // Serialization only reads the rows: cached partitions are not copied.
+  STARK_ASSIGN_OR_RETURN(const std::vector<Partition<T>> parts,
+                         rdd.TrySharedPartitions());
   const size_t attempts = rdd.ctx()->retry_policy().EffectiveAttempts();
   BinaryWriter meta;
   meta.WriteU32(kCheckpointMetaMagic);
@@ -163,22 +164,22 @@ Status Checkpoint(const RDD<T>& rdd, const std::string& directory) {
     BinaryWriter w;
     bool wrote_columnar = false;
     if constexpr (CheckpointSTPair<T>::value) {
-      if (parts[p].size() <= UINT32_MAX) {
+      if (parts[p]->size() <= UINT32_MAX) {
         using Payload = typename CheckpointSTPair<T>::Payload;
         w.WriteU32(kCheckpointPartMagicColumnar);
-        w.WriteU64(parts[p].size());
+        w.WriteU64(parts[p]->size());
         const ColumnarBatch batch = ColumnarBatch::Build(
-            parts[p], [](const T& e) -> const STObject& { return e.first; });
+            *parts[p], [](const T& e) -> const STObject& { return e.first; });
         WriteColumnarBatch(&w, batch);
-        for (const T& x : parts[p]) Serde<Payload>::Write(&w, x.second);
+        for (const T& x : *parts[p]) Serde<Payload>::Write(&w, x.second);
         GlobalColumnarMetrics().batches->Increment();
         wrote_columnar = true;
       }
     }
     if (!wrote_columnar) {
       w.WriteU32(kCheckpointPartMagic);
-      w.WriteU64(parts[p].size());
-      for (const T& x : parts[p]) Serde<T>::Write(&w, x);
+      w.WriteU64(parts[p]->size());
+      for (const T& x : *parts[p]) Serde<T>::Write(&w, x);
     }
     const uint32_t crc = Crc32(w.buffer().data(), w.buffer().size());
     w.WriteU32(crc);

@@ -23,6 +23,35 @@
 
 namespace stark {
 
+/// A computed partition: an immutable vector of elements behind a shared
+/// pointer. Nodes that keep their partitions (CollectionRDD, CacheRDD) hand
+/// out the pointer they hold, and read-only consumers use the rows in place;
+/// a partition an uncached node has just built has the caller as its only
+/// owner, so the caller may take its rows by move (TakeRows).
+template <typename T>
+using Partition = std::shared_ptr<const std::vector<T>>;
+
+/// Wraps freshly built rows as a partition the caller owns outright.
+template <typename T>
+Partition<T> MakePartition(std::vector<T> rows) {
+  // Allocated non-const, so TakeRows may move out of a sole-owner partition.
+  return std::make_shared<std::vector<T>>(std::move(rows));
+}
+
+/// Owned rows of \p part: moved out when the caller holds the only reference,
+/// else copied. A copy is counted in `engine.partition.copied_rows` with one
+/// Add per call (at most once per partition per task).
+template <typename T>
+std::vector<T> TakeRows(Partition<T> part) {
+  static obs::Counter* const copied_rows =
+      obs::DefaultMetrics().GetCounter("engine.partition.copied_rows");
+  if (part.use_count() == 1) {
+    return std::move(const_cast<std::vector<T>&>(*part));
+  }
+  copied_rows->Add(part->size());
+  return *part;
+}
+
 /// Lineage node: computes the contents of one partition on demand.
 template <typename T>
 class RDDImpl {
@@ -31,7 +60,8 @@ class RDDImpl {
   virtual ~RDDImpl() = default;
 
   virtual size_t NumPartitions() const = 0;
-  virtual std::vector<T> Compute(size_t partition) const = 0;
+  /// Never null. Shared with the node when it keeps its partitions.
+  virtual Partition<T> Compute(size_t partition) const = 0;
 
   Context* ctx() const { return ctx_; }
 
@@ -41,18 +71,70 @@ class RDDImpl {
 
 namespace engine_internal {
 
+/// Calls visit(row) for every row of \p part on behalf of a per-row user
+/// function. Rows are read in place when the user function takes const rows
+/// (\p kReadsConst) or when the caller owns \p part outright; visit then
+/// gets a mutable row it may move from. Otherwise visit runs over an owned
+/// copy (TakeRows).
+template <bool kReadsConst, typename T, typename Visit>
+void VisitRows(Partition<T> part, Visit&& visit) {
+  if constexpr (kReadsConst) {
+    if (part.use_count() != 1) {
+      for (const T& x : *part) visit(x);
+      return;
+    }
+  }
+  std::vector<T> rows = TakeRows(std::move(part));
+  for (T& x : rows) visit(x);
+}
+
+/// True when F's call operator takes its second parameter as an owned
+/// std::vector<T> (by value or by rvalue reference). Generic and overloaded
+/// call operators count as readers.
+template <typename M>
+struct SecondParam {
+  using type = void;
+};
+template <typename C, typename R, typename A, typename B>
+struct SecondParam<R (C::*)(A, B) const> {
+  using type = B;
+};
+template <typename C, typename R, typename A, typename B>
+struct SecondParam<R (C::*)(A, B)> {
+  using type = B;
+};
+template <typename F, typename = void>
+struct CallOperator {
+  using type = void;
+};
+template <typename F>
+struct CallOperator<F, std::void_t<decltype(&F::operator())>> {
+  using type = decltype(&F::operator());
+};
+template <typename F, typename T>
+inline constexpr bool kTakesOwnedRows =
+    std::is_same_v<typename SecondParam<typename CallOperator<F>::type>::type,
+                   std::vector<T>> ||
+    std::is_same_v<typename SecondParam<typename CallOperator<F>::type>::type,
+                   std::vector<T>&&>;
+
 /// Materialized data, the leaf of every lineage graph.
 template <typename T>
 class CollectionRDD final : public RDDImpl<T> {
  public:
   CollectionRDD(Context* ctx, std::vector<std::vector<T>> partitions)
-      : RDDImpl<T>(ctx), partitions_(std::move(partitions)) {}
+      : RDDImpl<T>(ctx) {
+    partitions_.reserve(partitions.size());
+    for (auto& part : partitions) {
+      partitions_.push_back(MakePartition(std::move(part)));
+    }
+  }
 
   size_t NumPartitions() const override { return partitions_.size(); }
-  std::vector<T> Compute(size_t p) const override { return partitions_[p]; }
+  Partition<T> Compute(size_t p) const override { return partitions_[p]; }
 
  private:
-  std::vector<std::vector<T>> partitions_;
+  std::vector<Partition<T>> partitions_;
 };
 
 template <typename T, typename U, typename F>
@@ -63,12 +145,13 @@ class MapRDD final : public RDDImpl<U> {
         fn_(std::move(fn)) {}
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
-  std::vector<U> Compute(size_t p) const override {
-    std::vector<T> in = parent_->Compute(p);
+  Partition<U> Compute(size_t p) const override {
+    Partition<T> in = parent_->Compute(p);
     std::vector<U> out;
-    out.reserve(in.size());
-    for (auto& x : in) out.push_back(fn_(x));
-    return out;
+    out.reserve(in->size());
+    VisitRows<std::is_invocable_v<const F&, const T&>>(
+        std::move(in), [&](auto& x) { out.push_back(fn_(x)); });
+    return MakePartition(std::move(out));
   }
 
  private:
@@ -84,13 +167,14 @@ class FilterRDD final : public RDDImpl<T> {
         fn_(std::move(fn)) {}
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
-  std::vector<T> Compute(size_t p) const override {
-    std::vector<T> in = parent_->Compute(p);
+  Partition<T> Compute(size_t p) const override {
     std::vector<T> out;
-    for (auto& x : in) {
-      if (fn_(x)) out.push_back(std::move(x));
-    }
-    return out;
+    // A shared row is copied only when it survives; an owned one is moved.
+    VisitRows<std::is_invocable_v<const F&, const T&>>(
+        parent_->Compute(p), [&](auto& x) {
+          if (fn_(x)) out.push_back(std::move(x));
+        });
+    return MakePartition(std::move(out));
   }
 
  private:
@@ -106,14 +190,14 @@ class FlatMapRDD final : public RDDImpl<U> {
         fn_(std::move(fn)) {}
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
-  std::vector<U> Compute(size_t p) const override {
-    std::vector<T> in = parent_->Compute(p);
+  Partition<U> Compute(size_t p) const override {
     std::vector<U> out;
-    for (auto& x : in) {
-      std::vector<U> ys = fn_(x);
-      for (auto& y : ys) out.push_back(std::move(y));
-    }
-    return out;
+    VisitRows<std::is_invocable_v<const F&, const T&>>(
+        parent_->Compute(p), [&](auto& x) {
+          std::vector<U> ys = fn_(x);
+          for (auto& y : ys) out.push_back(std::move(y));
+        });
+    return MakePartition(std::move(out));
   }
 
  private:
@@ -121,7 +205,10 @@ class FlatMapRDD final : public RDDImpl<U> {
   F fn_;
 };
 
-/// fn(partition_index, partition_contents) -> new partition contents.
+/// fn(partition_index, partition_contents) -> new partition contents. A
+/// reader fn (taking `const std::vector<T>&`) reads a shared partition in
+/// place; a fn taking an owned `std::vector<T>` gets the rows by move when
+/// the caller owns the partition outright, else a counted copy.
 template <typename T, typename U, typename F>
 class MapPartitionsRDD final : public RDDImpl<U> {
  public:
@@ -130,8 +217,12 @@ class MapPartitionsRDD final : public RDDImpl<U> {
         fn_(std::move(fn)) {}
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
-  std::vector<U> Compute(size_t p) const override {
-    return fn_(p, parent_->Compute(p));
+  Partition<U> Compute(size_t p) const override {
+    Partition<T> in = parent_->Compute(p);
+    if constexpr (!kTakesOwnedRows<F, T>) {
+      if (in.use_count() != 1) return MakePartition(fn_(p, *in));
+    }
+    return MakePartition(fn_(p, TakeRows(std::move(in))));
   }
 
  private:
@@ -149,7 +240,7 @@ class UnionRDD final : public RDDImpl<T> {
   size_t NumPartitions() const override {
     return a_->NumPartitions() + b_->NumPartitions();
   }
-  std::vector<T> Compute(size_t p) const override {
+  Partition<T> Compute(size_t p) const override {
     if (p < a_->NumPartitions()) return a_->Compute(p);
     return b_->Compute(p - a_->NumPartitions());
   }
@@ -171,12 +262,12 @@ class PrunePartitionsRDD final : public RDDImpl<T> {
         keep_(std::move(keep)) {}
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
-  std::vector<T> Compute(size_t p) const override {
+  Partition<T> Compute(size_t p) const override {
     static obs::Counter* const pruned =
         obs::DefaultMetrics().GetCounter("engine.partitions.pruned");
     if (!keep_(p)) {
       pruned->Increment();
-      return {};
+      return MakePartition(std::vector<T>());
     }
     return parent_->Compute(p);
   }
@@ -186,8 +277,9 @@ class PrunePartitionsRDD final : public RDDImpl<T> {
   std::function<bool(size_t)> keep_;
 };
 
-/// Computes each parent partition at most once and keeps the result, like
-/// Spark's MEMORY-persisted RDDs.
+/// Computes each parent partition at most once and keeps it, like Spark's
+/// MEMORY-persisted RDDs. Every later Compute hands out the kept partition
+/// itself (a shared pointer), never a copy of its rows.
 template <typename T>
 class CacheRDD final : public RDDImpl<T> {
  public:
@@ -196,7 +288,7 @@ class CacheRDD final : public RDDImpl<T> {
         slots_(parent_->NumPartitions()) {}
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
-  std::vector<T> Compute(size_t p) const override {
+  Partition<T> Compute(size_t p) const override {
     static obs::Counter* const hits =
         obs::DefaultMetrics().GetCounter("engine.cache.hits");
     static obs::Counter* const misses =
@@ -204,23 +296,25 @@ class CacheRDD final : public RDDImpl<T> {
     static fault::FailPoint* const cache_fp =
         fault::DefaultFailPoints().Get("engine.cache.materialize");
     Slot& slot = slots_[p];
-    bool computed = false;
-    // An injected (or real) failure propagates out of call_once without
-    // setting the flag, so a retried task re-materializes the partition —
-    // the cache never latches a half-built slot.
-    std::call_once(slot.once, [&] {
-      fault::MaybeThrow(cache_fp);
-      slot.data = parent_->Compute(p);
-      computed = true;
-    });
-    (computed ? misses : hits)->Increment();
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (slot.data != nullptr) {
+      hits->Increment();
+      return slot.data;
+    }
+    // An injected (or real) failure propagates before the slot is set, so
+    // a retried task re-materializes the partition: the cache never latches
+    // a half-built slot. Concurrent readers of the same partition wait on
+    // the slot's mutex for the one materialization.
+    fault::MaybeThrow(cache_fp);
+    slot.data = parent_->Compute(p);
+    misses->Increment();
     return slot.data;
   }
 
  private:
   struct Slot {
-    std::once_flag once;
-    std::vector<T> data;
+    std::mutex mu;
+    Partition<T> data;  // null until materialized
   };
   std::shared_ptr<const RDDImpl<T>> parent_;
   mutable std::vector<Slot> slots_;
@@ -242,9 +336,14 @@ class RDD {
   Context* ctx() const { return impl_->ctx(); }
   size_t NumPartitions() const { return impl_->NumPartitions(); }
 
-  /// Computes the contents of one partition (used by multi-RDD operators
-  /// such as the spatial join; combine with Cache() to avoid recomputation).
-  std::vector<T> ComputePartition(size_t p) const { return impl_->Compute(p); }
+  /// Computes partition \p p and returns its rows as an owned vector. A
+  /// partition kept by a cached or collection node is copied (counted in
+  /// `engine.partition.copied_rows`); read-only callers use
+  /// SharedPartitions() or a `const std::vector<T>&` MapPartitionsWithIndex
+  /// function instead.
+  std::vector<T> ComputePartition(size_t p) const {
+    return TakeRows(impl_->Compute(p));
+  }
 
   // ---- Transformations (lazy) -------------------------------------------
 
@@ -272,11 +371,14 @@ class RDD {
         impl_, std::move(fn)));
   }
 
-  /// Whole-partition transform: fn(partition_index, std::vector<T>) must
-  /// return the new partition contents (any element type).
+  /// Whole-partition transform: fn(partition_index, rows) must return the
+  /// new partition contents (any element type). A fn taking
+  /// `const std::vector<T>&` reads cached partitions in place; one taking an
+  /// owned `std::vector<T>` gets the rows by move when nothing else holds
+  /// them, else a copy counted in `engine.partition.copied_rows`.
   template <typename F>
   auto MapPartitionsWithIndex(F fn) const {
-    using Vec = std::invoke_result_t<F, size_t, std::vector<T>>;
+    using Vec = std::invoke_result_t<F, size_t, const std::vector<T>&>;
     using U = typename Vec::value_type;
     return RDD<U>(
         std::make_shared<engine_internal::MapPartitionsRDD<T, U, F>>(
@@ -338,7 +440,7 @@ class RDD {
     ctx()->RunTasks("rdd.shuffle.map", in_parts, [&](size_t p) {
       fault::MaybeThrow(shuffle_fp);
       std::vector<std::vector<T>> buckets(num_partitions);
-      std::vector<T> in = impl_->Compute(p);
+      std::vector<T> in = TakeRows(impl_->Compute(p));
       if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
         span->records_in = in.size();
         span->records_out = in.size();
@@ -375,12 +477,14 @@ class RDD {
 
   /// Pairs every element with a globally unique, stable index.
   RDD<std::pair<T, size_t>> ZipWithIndex() const {
-    std::vector<std::vector<T>> parts = CollectPartitions();
+    std::vector<Partition<T>> parts = SharedPartitions();
     std::vector<std::vector<std::pair<T, size_t>>> out(parts.size());
     size_t next = 0;
     for (size_t p = 0; p < parts.size(); ++p) {
-      out[p].reserve(parts[p].size());
-      for (auto& x : parts[p]) out[p].emplace_back(std::move(x), next++);
+      out[p].reserve(parts[p]->size());
+      engine_internal::VisitRows<true>(std::move(parts[p]), [&](auto& x) {
+        out[p].emplace_back(std::move(x), next++);
+      });
     }
     return RDD<std::pair<T, size_t>>(
         std::make_shared<engine_internal::CollectionRDD<std::pair<T, size_t>>>(
@@ -395,12 +499,35 @@ class RDD {
   // plain forms throw the same failure as a StatusError on the driver
   // thread (never through the worker pool).
 
-  /// Evaluates and returns all partitions, in partition order.
+  /// Evaluates all partitions as one job and returns them uncopied, in
+  /// partition order: the pointers a cached or collection node keeps, or
+  /// partitions the caller owns outright.
+  Result<std::vector<Partition<T>>> TrySharedPartitions() const {
+    const size_t n = NumPartitions();
+    std::vector<Partition<T>> parts(n);
+    STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.collect", n, [&](size_t p) {
+      parts[p] = impl_->Compute(p);
+      if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+        span->records_in = parts[p]->size();
+        span->records_out = parts[p]->size();
+      }
+    }));
+    return parts;
+  }
+
+  std::vector<Partition<T>> SharedPartitions() const {
+    Result<std::vector<Partition<T>>> parts = TrySharedPartitions();
+    if (!parts.ok()) throw StatusError(parts.status());
+    return std::move(parts).ValueOrDie();
+  }
+
+  /// Evaluates and returns all partitions as owned vectors, in partition
+  /// order. Kept partitions are copied (see ComputePartition).
   Result<std::vector<std::vector<T>>> TryCollectPartitions() const {
     const size_t n = NumPartitions();
     std::vector<std::vector<T>> parts(n);
     STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.collect", n, [&](size_t p) {
-      parts[p] = impl_->Compute(p);
+      parts[p] = TakeRows(impl_->Compute(p));
       if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
         span->records_in = parts[p].size();
         span->records_out = parts[p].size();
@@ -440,7 +567,7 @@ class RDD {
     const size_t n = NumPartitions();
     std::vector<size_t> counts(n, 0);
     STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.count", n, [&](size_t p) {
-      counts[p] = impl_->Compute(p).size();
+      counts[p] = impl_->Compute(p)->size();
       if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
         span->records_in = counts[p];
         span->records_out = 1;
@@ -464,13 +591,14 @@ class RDD {
     const size_t n = NumPartitions();
     std::vector<T> partials(n, init);
     ctx()->RunTasks("rdd.fold", n, [&](size_t p) {
-      std::vector<T> items = impl_->Compute(p);
+      Partition<T> items = impl_->Compute(p);
       if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-        span->records_in = items.size();
+        span->records_in = items->size();
         span->records_out = 1;
       }
       T acc = init;
-      for (auto& x : items) acc = fn(acc, x);
+      engine_internal::VisitRows<std::is_invocable_v<F&, T&, const T&>>(
+          std::move(items), [&](auto& x) { acc = fn(acc, x); });
       partials[p] = std::move(acc);
     });
     T acc = init;
@@ -482,10 +610,10 @@ class RDD {
   std::vector<T> Take(size_t n) const {
     std::vector<T> out;
     for (size_t p = 0; p < NumPartitions() && out.size() < n; ++p) {
-      std::vector<T> part = impl_->Compute(p);
-      for (auto& x : part) {
+      const Partition<T> part = impl_->Compute(p);
+      for (const T& x : *part) {
         if (out.size() >= n) break;
-        out.push_back(std::move(x));
+        out.push_back(x);
       }
     }
     return out;

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -143,12 +144,14 @@ class PackedRTree {
 
   /// \brief Exact k-nearest-neighbor search (branch and bound).
   ///
-  /// \p exact_distance computes the true distance from the query to an
-  /// entry's value and must never be smaller than the distance to the
-  /// entry's envelope.
+  /// \p query is the envelope of the query geometry (a point's envelope for
+  /// point queries). \p exact_distance computes the true distance from the
+  /// query to an entry's value and must never be smaller than the distance
+  /// between the query envelope and the entry's envelope. A NaN exact
+  /// distance ranks as +infinity; a NaN node bound as 0 (never pruned).
   template <typename DistFn>
   std::vector<std::pair<double, const T*>> Knn(
-      const Coordinate& query, size_t k, DistFn&& exact_distance) const {
+      const Envelope& query, size_t k, DistFn&& exact_distance) const {
     std::vector<std::pair<double, const T*>> result;
     if (k == 0 || values_.empty()) return result;
 
@@ -176,7 +179,8 @@ class PackedRTree {
       const uint32_t end = node_end_[item.index];
       if (item.index < num_leaf_nodes_) {
         for (uint32_t e = begin; e < end; ++e) {
-          pq.push({exact_distance(values_[e]), e, true});
+          const double d = exact_distance(values_[e]);
+          pq.push({std::isnan(d) ? kInfinity : d, e, true});
         }
       } else {
         for (uint32_t c = begin; c < end; ++c) {
@@ -187,18 +191,31 @@ class PackedRTree {
     return result;
   }
 
+  /// Point-query form of Knn.
+  template <typename DistFn>
+  std::vector<std::pair<double, const T*>> Knn(
+      const Coordinate& query, size_t k, DistFn&& exact_distance) const {
+    return Knn(Envelope(query), k, std::forward<DistFn>(exact_distance));
+  }
+
  private:
   static constexpr size_t kScratch = 512;
+  static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-  double NodeDistance(uint32_t ni, const Coordinate& c) const {
-    // Same arithmetic as Envelope::Distance(Coordinate); the max-with-0
-    // form already yields 0 for contained points.
-    const double dx = std::max({nodes_.min_x[ni] - c.x, 0.0,
-                                c.x - nodes_.max_x[ni]});
-    const double dy = std::max({nodes_.min_y[ni] - c.y, 0.0,
-                                c.y - nodes_.max_y[ni]});
-    return std::sqrt(dx * dx + dy * dy);
+  /// Gap between node \p ni and \p q (0 when they overlap): a lower bound on
+  /// the distance from the query to every entry below the node.
+  double NodeDistance(uint32_t ni, const Envelope& q) const {
+    const double dx = std::max({nodes_.min_x[ni] - q.max_x(), 0.0,
+                                q.min_x() - nodes_.max_x[ni]});
+    const double dy = std::max({nodes_.min_y[ni] - q.max_y(), 0.0,
+                                q.min_y() - nodes_.max_y[ni]});
+    const double d = std::sqrt(dx * dx + dy * dy);
+    return std::isnan(d) ? 0.0 : d;
   }
+
+  /// STR sort key: NaN centres sort last, so the comparator stays a strict
+  /// weak order over rows with NaN coordinates.
+  static double SortKey(double v) { return std::isnan(v) ? kInfinity : v; }
 
   /// One node record during construction, before flattening.
   struct BuildRec {
@@ -223,7 +240,8 @@ class PackedRTree {
     // vertical slices, y-sort within each slice, chunk into leaves.
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) {
-                return a.first.Center().x < b.first.Center().x;
+                return SortKey(a.first.Center().x) <
+                       SortKey(b.first.Center().x);
               });
     const size_t leaf_count = (entries.size() + order_ - 1) / order_;
     const size_t slice_count = static_cast<size_t>(
@@ -239,7 +257,8 @@ class PackedRTree {
       const size_t s_end = std::min(s + slice_size, entries.size());
       std::sort(entries.begin() + s, entries.begin() + s_end,
                 [](const auto& a, const auto& b) {
-                  return a.first.Center().y < b.first.Center().y;
+                  return SortKey(a.first.Center().y) <
+                         SortKey(b.first.Center().y);
                 });
       for (size_t i = s; i < s_end; i += order_) {
         const size_t i_end = std::min(i + order_, s_end);
@@ -261,7 +280,7 @@ class PackedRTree {
     while (level.size() > 1) {
       std::sort(level.begin(), level.end(),
                 [](const BuildRec& a, const BuildRec& b) {
-                  return a.env.Center().x < b.env.Center().x;
+                  return SortKey(a.env.Center().x) < SortKey(b.env.Center().x);
                 });
       const uint32_t base = static_cast<uint32_t>(nodes_.size());
       AppendLevel(level);

@@ -25,11 +25,13 @@ size_t GridPartitioner::PartitionFor(const Coordinate& c) const {
   // object receives a partition (Spark partitioners must be total).
   auto cell_index = [](double v, double lo, double width, size_t count) {
     if (width <= 0.0) return size_t{0};
-    double idx = (v - lo) / width;
-    if (idx < 0.0) idx = 0.0;
+    const double idx = (v - lo) / width;
     const size_t max_cell = count - 1;
-    const size_t cell = static_cast<size_t>(idx);
-    return std::min(cell, max_cell);
+    // NaN and +inf (and anything past the last cell) land in the last cell;
+    // only an in-range index is cast, which keeps the cast defined.
+    if (!(idx < static_cast<double>(count))) return max_cell;
+    if (idx < 0.0) return size_t{0};
+    return std::min(static_cast<size_t>(idx), max_cell);
   };
   const size_t cx = cell_index(c.x, universe_.min_x(), cell_w_, cells_x_);
   const size_t cy = cell_index(c.y, universe_.min_y(), cell_h_, cells_y_);

@@ -124,7 +124,7 @@ bool EvalExpr(const Expr& expr, const PigRow& row,
 Envelope UniverseOf(const RDD<PigRow>& rdd) {
   // Envelope is a monoid under ExpandToInclude, so map + fold suffices.
   return rdd
-      .Map([](PigRow& row) {
+      .Map([](const PigRow& row) {
         return row.st.has_value() ? row.st->envelope() : Envelope();
       })
       .Fold(Envelope(), [](Envelope acc, const Envelope& env) {
@@ -995,7 +995,7 @@ Result<PigRelation> Interpreter::ExecAggregate(const Statement& stmt) {
   // GROUP BY column + COUNT as a distributed reduceByKey (with map-side
   // combining), then sorted by key for deterministic output.
   RDD<std::pair<std::string, int64_t>> keyed =
-      in->rdd.Map([col](PigRow& row) {
+      in->rdd.Map([col](const PigRow& row) {
         return std::pair<std::string, int64_t>(
             FormatPigValue(row.fields[col]), 1);
       });

@@ -27,7 +27,7 @@ class SnapshotRowsRDD final : public RDDImpl<piglet::PigRow> {
 
   size_t NumPartitions() const override { return parts_; }
 
-  std::vector<piglet::PigRow> Compute(size_t p) const override {
+  Partition<piglet::PigRow> Compute(size_t p) const override {
     const std::vector<stream::StreamEvent>& events = *snap_->events;
     const size_t n = events.size();
     const size_t chunk = (n + parts_ - 1) / parts_;
@@ -38,7 +38,7 @@ class SnapshotRowsRDD final : public RDDImpl<piglet::PigRow> {
     for (size_t i = begin; i < end; ++i) {
       rows.push_back(piglet::RowFromStreamEvent(events[i]));
     }
-    return rows;
+    return MakePartition(std::move(rows));
   }
 
  private:

@@ -206,31 +206,33 @@ inline std::string TaskDetail(const ProbeTask& t, size_t full_range) {
   return d;
 }
 
-/// Broadcast strategy: \p small_parts is flattened into one side, indexed
-/// once (an R-tree when \p use_index, plus its slab), and probed from every
-/// partition of \p big_parts, one task per big partition. \p small_left
-/// states which operand the small side fills; `pair(big, small)` builds an
-/// output record. \p label(b) names task b in its span.
+/// Broadcast strategy: the rows of \p small_parts are flattened into one
+/// side (as pointers into the shared partitions, which stay uncopied),
+/// indexed once (an R-tree when \p use_index, plus its slab), and probed
+/// from every partition of \p big_parts, one task per big partition.
+/// \p small_left states which operand the small side fills;
+/// `pair(big, small)` builds an output record. \p label(b) names task b in
+/// its span.
 template <typename Out, typename B, typename S, typename Pair, typename Label>
 std::vector<std::vector<Out>> Broadcast(
-    Context* ctx, std::vector<std::vector<S>> small_parts,
-    const std::vector<std::vector<B>>& big_parts, const JoinPredicate& pred,
+    Context* ctx, const std::vector<Partition<S>>& small_parts,
+    const std::vector<Partition<B>>& big_parts, const JoinPredicate& pred,
     const JoinOptions& options, bool use_index, bool small_left, Pair pair,
     Label label) {
   const JoinMetricSet& metrics = GlobalJoinMetrics();
   size_t total = 0;
-  for (const auto& part : small_parts) total += part.size();
-  std::vector<S> small;
+  for (const auto& part : small_parts) total += part->size();
+  std::vector<const S*> small;
   small.reserve(total);
-  for (auto& part : small_parts) {
-    for (auto& e : part) small.push_back(std::move(e));
+  for (const auto& part : small_parts) {
+    for (const S& e : *part) small.push_back(&e);
   }
   PackedRTree<size_t> tree;
   if (use_index) {
     std::vector<std::pair<Envelope, size_t>> entries;
     entries.reserve(small.size());
     for (size_t e = 0; e < small.size(); ++e) {
-      entries.emplace_back(small[e].first.envelope(), e);
+      entries.emplace_back(small[e]->first.envelope(), e);
     }
     tree = PackedRTree<size_t>(options.index_order, std::move(entries));
     metrics.tree_builds->Increment();
@@ -241,7 +243,7 @@ std::vector<std::vector<Out>> Broadcast(
   if (columnar_refine::Refinable(pred) && !small.empty() &&
       small.size() <= UINT32_MAX) {
     slab = std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-        small, [](const S& e) -> const STObject& { return e.first; }));
+        small, [](const S* e) -> const STObject& { return e->first; }));
     GlobalColumnarMetrics().batches->Increment();
   }
   std::vector<std::vector<Out>> out(big_parts.size());
@@ -249,9 +251,11 @@ std::vector<std::vector<Out>> Broadcast(
     std::vector<Out>& sink = out[b];
     sink.clear();  // retry-idempotent: a re-run starts from scratch
     Probe probe(pred, small_left, slab.get());
-    auto obj = [&small](size_t e) -> const STObject& { return small[e].first; };
-    for (const B& row : big_parts[b]) {
-      auto keep = [&](size_t e) { sink.push_back(pair(row, small[e])); };
+    auto obj = [&small](size_t e) -> const STObject& {
+      return small[e]->first;
+    };
+    for (const B& row : *big_parts[b]) {
+      auto keep = [&](size_t e) { sink.push_back(pair(row, *small[e])); };
       if (use_index) {
         probe.Tree(tree, row.first, obj, keep);
       } else {
@@ -259,7 +263,7 @@ std::vector<std::vector<Out>> Broadcast(
       }
     }
     if (slab != nullptr) GlobalColumnarMetrics().slab_reuse->Increment();
-    probe.Finish(label(b), big_parts[b].size());
+    probe.Finish(label(b), big_parts[b]->size());
     metrics.prefilter_skips->Add(probe.envelope_skips());
     metrics.results->Add(sink.size());
   });
@@ -300,15 +304,15 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   // for the rest, building trees would be pure wasted work.
   const bool use_index = options.index_order > 0 && pred.Prunable();
 
-  // Materialize both sides once.
-  std::vector<std::vector<L>> left_parts = left.rdd().CollectPartitions();
-  std::vector<std::vector<R>> right_parts = right.rdd().CollectPartitions();
+  // Materialize both sides once; cached partitions are shared, not copied.
+  const std::vector<Partition<L>> left_parts = left.rdd().SharedPartitions();
+  const std::vector<Partition<R>> right_parts = right.rdd().SharedPartitions();
   std::vector<size_t> left_sizes(nl, 0);
   std::vector<size_t> right_sizes(nr, 0);
   size_t total_l = 0;
   size_t total_r = 0;
-  for (size_t i = 0; i < nl; ++i) total_l += left_sizes[i] = left_parts[i].size();
-  for (size_t j = 0; j < nr; ++j) total_r += right_sizes[j] = right_parts[j].size();
+  for (size_t i = 0; i < nl; ++i) total_l += left_sizes[i] = left_parts[i]->size();
+  for (size_t j = 0; j < nr; ++j) total_r += right_sizes[j] = right_parts[j]->size();
 
   // ---- Broadcast strategy -------------------------------------------------
   // One side fits under the threshold: flatten it, index it once, and probe
@@ -319,7 +323,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
     if (total_r <= total_l) {
       return MakeRDDFromPartitions(
           ctx, ji::Broadcast<Out>(
-                   ctx, std::move(right_parts), left_parts, pred, options,
+                   ctx, right_parts, left_parts, pred, options,
                    use_index, /*small_left=*/false,
                    [&project](const L& l, const R& r) { return project(l, r); },
                    [](size_t i) {
@@ -328,7 +332,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
     }
     return MakeRDDFromPartitions(
         ctx, ji::Broadcast<Out>(
-                 ctx, std::move(left_parts), right_parts, pred, options,
+                 ctx, left_parts, right_parts, pred, options,
                  use_index, /*small_left=*/true,
                  [&project](const R& r, const L& l) { return project(l, r); },
                  [](size_t j) {
@@ -374,7 +378,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   if (use_index || use_slab) {
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
       if (!left_used[i]) return;
-      const std::vector<L>& part = left_parts[i];
+      const std::vector<L>& part = *left_parts[i];
       if (use_index) {
         std::vector<std::pair<Envelope, size_t>> entries;
         entries.reserve(part.size());
@@ -413,8 +417,8 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   std::vector<std::vector<Out>> out(tasks.size());
   ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
     const ji::ProbeTask& task = tasks[t];
-    const std::vector<L>& lv = left_parts[task.left];
-    const std::vector<R>& rv = right_parts[task.right];
+    const std::vector<L>& lv = *left_parts[task.left];
+    const std::vector<R>& rv = *right_parts[task.right];
     const PackedRTree<size_t>* tree = left_trees[task.left].get();
     const ColumnarBatch* slab = left_slabs[task.left].get();
     std::vector<Out>& sink = out[t];
@@ -469,16 +473,17 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   const double margin = pred.EnvelopeMargin();
   const JoinMetricSet& metrics = GlobalJoinMetrics();
 
-  // Collecting a cached trees RDD hands back the shared tree pointers
-  // without copying or rebuilding anything.
-  std::vector<std::vector<TreePtr>> left_trees = left.trees().CollectPartitions();
-  std::vector<std::vector<R>> right_parts = right.rdd().CollectPartitions();
+  // A cached trees RDD hands back its shared partitions of tree pointers
+  // without copying or rebuilding anything; so does a cached right side.
+  const std::vector<Partition<TreePtr>> left_trees =
+      left.trees().SharedPartitions();
+  const std::vector<Partition<R>> right_parts = right.rdd().SharedPartitions();
   std::vector<size_t> left_sizes(nl, 0);
   std::vector<size_t> right_sizes(nr, 0);
   for (size_t i = 0; i < nl; ++i) {
-    for (const TreePtr& tree : left_trees[i]) left_sizes[i] += tree->size();
+    for (const TreePtr& tree : *left_trees[i]) left_sizes[i] += tree->size();
   }
-  for (size_t j = 0; j < nr; ++j) right_sizes[j] = right_parts[j].size();
+  for (size_t j = 0; j < nr; ++j) right_sizes[j] = right_parts[j]->size();
 
   // Enumerate pairs, pruned with the extents captured when the index was
   // built (they grow with the indexed data, exactly like partitioner
@@ -511,7 +516,7 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   }
   size_t reuse_hits = 0;
   for (size_t i = 0; i < nl; ++i) {
-    if (left_used[i]) reuse_hits += left_trees[i].size();
+    if (left_used[i]) reuse_hits += left_trees[i]->size();
   }
   metrics.tree_reuse_hits->Add(reuse_hits);
 
@@ -528,7 +533,7 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   std::vector<std::vector<Out>> out(tasks.size());
   ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
     const ji::ProbeTask& task = tasks[t];
-    const std::vector<R>& rv = right_parts[task.right];
+    const std::vector<R>& rv = *right_parts[task.right];
     std::vector<Out>& sink = out[t];
     sink.clear();  // retry-idempotent: a re-run starts from scratch
     Probe probe(pred, /*cand_left=*/true);
@@ -536,7 +541,7 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
     for (size_t rix = task.begin; rix < task.end; ++rix) {
       const R& r = rv[rix];
       auto keep = [&](const L& l) { sink.push_back(project(l, r)); };
-      for (const TreePtr& tree : left_trees[task.left]) {
+      for (const TreePtr& tree : *left_trees[task.left]) {
         probe.Tree(*tree, r.first, obj, keep);
       }
     }
@@ -584,11 +589,10 @@ SelfSpatialJoin(const SpatialRDD<V>& data, const JoinPredicate& pred,
                 const JoinOptions& options = {}) {
   using Tagged = std::pair<STObject, std::pair<V, size_t>>;
   RDD<Tagged> tagged =
-      data.rdd().ZipWithIndex().Map([](std::pair<std::pair<STObject, V>,
-                                                 size_t>& e) {
-        return Tagged{std::move(e.first.first),
-                      {std::move(e.first.second), e.second}};
-      });
+      data.rdd().ZipWithIndex().Map(
+          [](const std::pair<std::pair<STObject, V>, size_t>& e) {
+            return Tagged{e.first.first, {e.first.second, e.second}};
+          });
   SpatialRDD<std::pair<V, size_t>> wrapped(tagged.Cache(),
                                            data.partitioner());
   auto joined = SpatialJoin(wrapped, wrapped, pred, options);

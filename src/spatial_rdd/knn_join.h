@@ -43,15 +43,17 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
   const size_t nl = left.NumPartitions();
   const size_t nr = right.NumPartitions();
 
-  // Materialize and index the right side once (straight into the packed
-  // layout — kNN traversal walks SoA node arrays, no pointer chasing).
-  std::vector<std::vector<R>> right_parts = right.rdd().CollectPartitions();
+  // Materialize (shared, uncopied when cached) and index the right side
+  // once, straight into the packed layout — kNN traversal walks SoA node
+  // arrays, no pointer chasing.
+  const std::vector<Partition<R>> right_parts = right.rdd().SharedPartitions();
   std::vector<std::unique_ptr<PackedRTree<size_t>>> right_trees(nr);
   ctx->pool().ParallelFor(nr, [&](size_t j) {
+    const std::vector<R>& rows = *right_parts[j];
     std::vector<std::pair<Envelope, size_t>> entries;
-    entries.reserve(right_parts[j].size());
-    for (size_t e = 0; e < right_parts[j].size(); ++e) {
-      entries.emplace_back(right_parts[j][e].first.envelope(), e);
+    entries.reserve(rows.size());
+    for (size_t e = 0; e < rows.size(); ++e) {
+      entries.emplace_back(rows[e].first.envelope(), e);
     }
     right_trees[j] =
         std::make_unique<PackedRTree<size_t>>(index_order, std::move(entries));
@@ -66,14 +68,14 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
                            : right_trees[j]->bounds();
   }
 
-  std::vector<std::vector<L>> left_parts = left.rdd().CollectPartitions();
+  const std::vector<Partition<L>> left_parts = left.rdd().SharedPartitions();
   std::vector<std::vector<Out>> out(nl);
   ctx->pool().ParallelFor(nl, [&](size_t i) {
     size_t packed_probes = 0;
     size_t prep_hits = 0;
     size_t prep_misses = 0;
-    out[i].reserve(left_parts[i].size());
-    for (L& l : left_parts[i]) {
+    out[i].reserve(left_parts[i]->size());
+    for (const L& l : *left_parts[i]) {
       // Each left element's geometry is interrogated once per candidate;
       // prepare it lazily so elements whose partitions all get pruned (or
       // that find no candidates) never pay for preparation.
@@ -90,18 +92,15 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
       };
       // Branch-and-bound admissibility: geometry distance is always >= the
       // distance between the geometries' envelopes, so envelope-based
-      // bounds never over-prune. The in-tree bound is anchored at the left
-      // centroid, which is only a valid lower bound for point geometries;
-      // non-point left geometries scan the partition instead.
+      // bounds (partition extents here, node boxes inside the tree) never
+      // over-prune, whatever the left geometry's type.
       const Envelope& lenv = l.first.envelope();
-      const bool left_is_point = l.first.geo().IsPoint();
-      const Coordinate c = l.first.Centroid();
 
       // Probe order: nearest right partition first.
       std::vector<std::pair<double, size_t>> order;
       order.reserve(nr);
       for (size_t j = 0; j < nr; ++j) {
-        if (right_parts[j].empty()) continue;
+        if (right_parts[j]->empty()) continue;
         order.emplace_back(right_extents[j].Distance(lenv), j);
       }
       std::sort(order.begin(), order.end());
@@ -114,17 +113,12 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
         if (best.size() >= k && extent_dist > best.back().first) {
           break;  // no remaining partition can improve the k-th distance
         }
-        if (left_is_point) {
-          auto hits = right_trees[j]->Knn(c, k, [&](const size_t& e) {
-            return exact(right_parts[j][e].first.geo());
-          });
-          ++packed_probes;
-          for (auto& [dist, e] : hits) merge(dist, right_parts[j][*e]);
-        } else {
-          for (const R& r : right_parts[j]) {
-            merge(exact(r.first.geo()), r);
-          }
-        }
+        const std::vector<R>& rows = *right_parts[j];
+        auto hits = right_trees[j]->Knn(lenv, k, [&](const size_t& e) {
+          return exact(rows[e].first.geo());
+        });
+        ++packed_probes;
+        for (auto& [dist, e] : hits) merge(dist, rows[*e]);
         std::sort(best.begin(), best.end(),
                   [](const KnnMatch<W>& a, const KnnMatch<W>& b) {
                     return a.first < b.first;
@@ -133,7 +127,7 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
           best.erase(best.begin() + static_cast<ptrdiff_t>(k), best.end());
         }
       }
-      out[i].emplace_back(std::move(l), std::move(best));
+      out[i].emplace_back(l, std::move(best));
     }
     const IndexMetricSet& index_metrics = GlobalIndexMetrics();
     index_metrics.packed_probes->Add(packed_probes);

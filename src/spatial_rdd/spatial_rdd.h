@@ -8,8 +8,12 @@
 #define STARK_SPATIAL_RDD_SPATIAL_RDD_H_
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -33,6 +37,91 @@ namespace stark {
 
 template <typename V>
 class SpatialRDD;
+
+namespace knn_internal {
+
+/// (distance, row) pairs, nearest first.
+template <typename E>
+using Ranked = std::vector<std::pair<double, E>>;
+
+/// Keeps the \p k nearest entries of \p ranked, sorted ascending.
+template <typename Row>
+void KeepNearest(std::vector<std::pair<double, Row>>* ranked, size_t k) {
+  const size_t keep = std::min(k, ranked->size());
+  std::partial_sort(
+      ranked->begin(), ranked->begin() + static_cast<ptrdiff_t>(keep),
+      ranked->end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  ranked->erase(ranked->begin() + static_cast<ptrdiff_t>(keep), ranked->end());
+}
+
+/// The \p k nearest of the candidate rows \p cands, each copied once.
+template <typename E>
+Ranked<E> Winners(std::vector<std::pair<double, const E*>> cands, size_t k) {
+  KeepNearest(&cands, k);
+  Ranked<E> out;
+  out.reserve(cands.size());
+  for (const auto& [dist, row] : cands) out.emplace_back(dist, *row);
+  return out;
+}
+
+/// \brief The kNN plan of SpatialRDD::Knn and IndexedSpatialRDD::Knn.
+///
+/// `local(rows)` ranks one partition and returns its (up to) \p k nearest.
+/// \p bounds holds, per partition, a lower bound on the distance from the
+/// query to any of its rows (the extent distance), or is empty when there
+/// is none. Without bounds one job ranks every partition. With bounds, job 1
+/// ranks the partitions with the smallest bound; job 2 ranks the remaining
+/// partitions whose bound is <= the k-th distance job 1 found — every
+/// remaining partition when job 1 found fewer than k rows or an infinite
+/// k-th distance. Partitions neither job keeps are never computed
+/// (engine.partitions.pruned).
+template <typename E, typename S, typename Local>
+Ranked<E> RankNearest(const RDD<S>& source, const std::vector<double>& bounds,
+                      size_t k, Local local) {
+  if (k == 0) return {};
+  auto rank = [&](std::function<bool(size_t)> keep) {
+    const RDD<S> kept = keep ? source.PrunePartitions(std::move(keep)) : source;
+    return kept
+        .MapPartitionsWithIndex(
+            [local](size_t, const std::vector<S>& rows) { return local(rows); })
+        .Collect();
+  };
+  Ranked<E> best;
+  auto merge = [&](Ranked<E> more) {
+    for (auto& r : more) best.push_back(std::move(r));
+    KeepNearest(&best, k);
+  };
+  if (bounds.empty()) {
+    merge(rank(nullptr));
+    return best;
+  }
+  const double nearest = *std::min_element(bounds.begin(), bounds.end());
+  auto first = std::make_shared<std::vector<char>>(bounds.size());
+  for (size_t p = 0; p < bounds.size(); ++p) (*first)[p] = bounds[p] <= nearest;
+  merge(rank([first](size_t p) { return (*first)[p] != 0; }));
+
+  const double kth = best.size() < k
+                         ? std::numeric_limits<double>::infinity()
+                         : best.back().first;
+  auto second = std::make_shared<std::vector<char>>(bounds.size());
+  bool any = false;
+  for (size_t p = 0; p < bounds.size(); ++p) {
+    (*second)[p] = !(*first)[p] && bounds[p] <= kth;
+    any = any || (*second)[p];
+  }
+  if (any) merge(rank([second](size_t p) { return (*second)[p] != 0; }));
+  return best;
+}
+
+/// Extent-distance lower bound per partition; NaN (a poisoned extent)
+/// becomes 0, which never prunes.
+inline double ExtentBound(const Envelope& extent, const Envelope& query) {
+  const double d = extent.Distance(query);
+  return std::isnan(d) ? 0.0 : d;
+}
+
+}  // namespace knn_internal
 
 /// \brief An RDD whose partitions are R-trees over (STObject, V) pairs —
 /// the result of liveIndex()/index() (§2.2).
@@ -92,7 +181,7 @@ class IndexedSpatialRDD {
       });
     }
     return source.MapPartitionsWithIndex(
-        [query, pred, stats](size_t, std::vector<TreePtr> trees) {
+        [query, pred, stats](size_t, const std::vector<TreePtr>& trees) {
           std::vector<Element> out;
           Probe probe(pred, /*cand_left=*/true);
           for (const TreePtr& tree : trees) {
@@ -124,19 +213,26 @@ class IndexedSpatialRDD {
   }
 
   /// Exact k nearest neighbors of \p query; results are (distance, element)
-  /// sorted ascending. Defaults to the Euclidean geometry distance (tree
-  /// branch-and-bound); a custom \p fn falls back to a per-partition scan,
-  /// since PackedRTree::Knn's envelope lower bound is only valid for
-  /// Euclidean distance. A distance of NaN is treated as +infinity (never a
-  /// neighbor).
+  /// sorted ascending. Defaults to the Euclidean geometry distance: each
+  /// tree is searched branch-and-bound from the query envelope, and with
+  /// extents the two-job plan of knn_internal::RankNearest reads only the
+  /// partitions that can hold an answer. A custom \p fn ranks every entry
+  /// of every partition in one job, since envelope bounds are only valid
+  /// for Euclidean distance. A distance of NaN is treated as +infinity
+  /// (never a neighbor). Only the k winners of a partition are copied.
   std::vector<std::pair<double, Element>> Knn(const STObject& query, size_t k,
                                               DistanceFunction fn = nullptr)
       const {
-    const Coordinate qc = query.Centroid();
-    RDD<std::pair<double, Element>> locals =
-        trees_.MapPartitionsWithIndex([query, qc, k, fn](
-                                          size_t, std::vector<TreePtr> ts) {
-          std::vector<std::pair<double, Element>> out;
+    std::vector<double> bounds;
+    if (!fn && extents_) {
+      bounds.assign(trees_.NumPartitions(), 0.0);
+      for (size_t p = 0; p < bounds.size() && p < extents_->size(); ++p) {
+        bounds[p] = knn_internal::ExtentBound((*extents_)[p], query.envelope());
+      }
+    }
+    return knn_internal::RankNearest<Element>(
+        trees_, bounds, k, [query, k, fn](const std::vector<TreePtr>& ts) {
+          std::vector<std::pair<double, const Element*>> cands;
           // Lazily prepare the query geometry for the exact-distance
           // callback: one preparation per task, shared by every candidate
           // the branch-and-bound search actually measures.
@@ -147,48 +243,35 @@ class IndexedSpatialRDD {
           for (const TreePtr& tree : ts) {
             if (fn) {
               tree->ForEach([&](const Envelope&, const Element& e) {
-                out.emplace_back(SanitizeDistance(fn(e.first, query)), e);
+                cands.emplace_back(SanitizeDistance(fn(e.first, query)), &e);
               });
-            } else {
-              ++packed_probes;
-              auto hits = tree->Knn(qc, k, [&](const Element& e) {
-                if (!prepared.has_value()) {
-                  prepared.emplace(query.geo());
-                  ++prepared_misses;
-                } else {
-                  ++prepared_hits;
-                }
-                // DistanceFrom(other) computes Distance(other, query.geo).
-                return prepared->DistanceFrom(e.first.geo());
-              });
-              for (auto& [dist, elem] : hits) out.emplace_back(dist, *elem);
+              continue;
             }
+            ++packed_probes;
+            auto hits = tree->Knn(query.envelope(), k, [&](const Element& e) {
+              if (!prepared.has_value()) {
+                prepared.emplace(query.geo());
+                ++prepared_misses;
+              } else {
+                ++prepared_hits;
+              }
+              // DistanceFrom(other) computes Distance(other, query.geo).
+              return prepared->DistanceFrom(e.first.geo());
+            });
+            cands.insert(cands.end(), hits.begin(), hits.end());
           }
           const IndexMetricSet& index_metrics = GlobalIndexMetrics();
           index_metrics.packed_probes->Add(packed_probes);
           index_metrics.prepared_hits->Add(prepared_hits);
           index_metrics.prepared_misses->Add(prepared_misses);
-          if (fn && out.size() > k) {
-            std::partial_sort(out.begin(),
-                              out.begin() + static_cast<ptrdiff_t>(k),
-                              out.end(), [](const auto& a, const auto& b) {
-                                return a.first < b.first;
-                              });
-            out.erase(out.begin() + static_cast<ptrdiff_t>(k), out.end());
-          }
-          return out;
+          return knn_internal::Winners(std::move(cands), k);
         });
-    std::vector<std::pair<double, Element>> all = locals.Collect();
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (all.size() > k) all.erase(all.begin() + static_cast<ptrdiff_t>(k), all.end());
-    return all;
   }
 
   /// Flattens the indexed partitions back to a plain element RDD.
   RDD<Element> ToElements() const {
     return trees_.MapPartitionsWithIndex(
-        [](size_t, std::vector<TreePtr> ts) {
+        [](size_t, const std::vector<TreePtr>& ts) {
           std::vector<Element> out;
           for (const TreePtr& tree : ts) {
             tree->ForEach([&](const Envelope&, const Element& e) {
@@ -203,7 +286,7 @@ class IndexedSpatialRDD {
   /// partition plus a meta file) — the paper's persistent index mode with
   /// HDFS substituted by the local filesystem.
   Status Save(const std::string& directory) const {
-    std::vector<std::vector<TreePtr>> parts = trees_.CollectPartitions();
+    const std::vector<Partition<TreePtr>> parts = trees_.SharedPartitions();
     BinaryWriter meta;
     meta.WriteU32(kMetaMagic);
     meta.WriteU64(parts.size());
@@ -219,7 +302,7 @@ class IndexedSpatialRDD {
     for (size_t p = 0; p < parts.size(); ++p) {
       BinaryWriter w;
       size_t count = 0;
-      for (const TreePtr& tree : parts[p]) count += tree->size();
+      for (const TreePtr& tree : *parts[p]) count += tree->size();
       // Zero-copy slab format: all STObjects as one columnar batch
       // (length-prefixed contiguous column blocks, a handful of bulk writes)
       // followed by the payload column.
@@ -227,7 +310,7 @@ class IndexedSpatialRDD {
       ColumnarBatch batch;
       batch.Reserve(count);
       BinaryWriter payloads;
-      for (const TreePtr& tree : parts[p]) {
+      for (const TreePtr& tree : *parts[p]) {
         tree->ForEach([&batch, &payloads](const Envelope&, const Element& e) {
           batch.Append(e.first);
           Serde<V>::Write(&payloads, e.second);
@@ -341,9 +424,11 @@ class SpatialRDD {
     return SpatialRDD(std::move(shuffled), std::move(p));
   }
 
-  /// Caches the underlying RDD. The returned wrapper also keeps the
-  /// columnar slab each filter builds per partition, so repeated filters
-  /// reuse them (engine.columnar.slab_reuse).
+  /// Caches the underlying RDD: each partition is computed once and then
+  /// shared, uncopied, by every filter, kNN, count and join that reads it.
+  /// The returned wrapper also keeps the columnar slab each filter builds
+  /// per partition, so repeated filters reuse them
+  /// (engine.columnar.slab_reuse).
   SpatialRDD Cache() const {
     SpatialRDD cached(rdd_.Cache(), partitioner_);
     cached.slabs_ = std::make_shared<SlabCache>();
@@ -396,7 +481,8 @@ class SpatialRDD {
     // different rows, so it builds its slab per task.
     auto slabs = slabs_;
     return source.MapPartitionsWithIndex(
-        [query, pred, stats, slabs](size_t idx, std::vector<Element> items) {
+        [query, pred, stats, slabs](size_t idx,
+                                    const std::vector<Element>& items) {
           std::shared_ptr<const ColumnarBatch> slab;
           if (columnar_refine::Refinable(pred) && !items.empty()) {
             slab = SlabFor(slabs.get(), idx, items);
@@ -406,7 +492,7 @@ class SpatialRDD {
           probe.Scan(
               items.size(), query,
               [&items](size_t j) -> const STObject& { return items[j].first; },
-              [&](size_t j) { out.push_back(std::move(items[j])); });
+              [&](size_t j) { out.push_back(items[j]); });
           CountFilterTask(stats, !items.empty(), items.size(), out.size());
           probe.Finish("", items.size());
           return out;
@@ -436,33 +522,49 @@ class SpatialRDD {
   /// Exact k nearest neighbors. The distance defaults to the minimum
   /// Euclidean geometry distance; pass \p fn to rank by a custom distance
   /// function (e.g. HaversineDistanceKm or a spatio-temporal combination),
-  /// mirroring the paper's user-suppliable distance functions.
+  /// mirroring the paper's user-suppliable distance functions. Each
+  /// partition ranks its rows in place and copies only its k winners. With
+  /// the default distance on spatially partitioned data, the two-job plan
+  /// of knn_internal::RankNearest reads only the partitions whose extent
+  /// can hold an answer; a custom \p fn, or data without extents, ranks
+  /// every partition in one job. A NaN distance ranks as +infinity.
   std::vector<std::pair<double, Element>> Knn(const STObject& query, size_t k,
                                               DistanceFunction fn = nullptr)
       const {
-    RDD<std::pair<double, Element>> locals = rdd_.MapPartitionsWithIndex(
-        [query, k, fn](size_t, std::vector<Element> items) {
-          std::vector<std::pair<double, Element>> local;
-          local.reserve(items.size());
-          for (auto& e : items) {
-            // NaN from a user distance function would break partial_sort's
-            // strict weak ordering; treat it as "infinitely far".
-            const double dist = SanitizeDistance(
-                fn ? fn(e.first, query) : Distance(e.first.geo(), query.geo()));
-            local.emplace_back(dist, std::move(e));
+    std::vector<double> bounds;
+    if (!fn && partitioner_ != nullptr) {
+      bounds.assign(NumPartitions(), 0.0);
+      for (size_t p = 0; p < bounds.size() && p < partitioner_->NumPartitions();
+           ++p) {
+        bounds[p] = knn_internal::ExtentBound(partitioner_->PartitionExtent(p),
+                                              query.envelope());
+      }
+    }
+    return knn_internal::RankNearest<Element>(
+        rdd_, bounds, k, [query, k, fn](const std::vector<Element>& items) {
+          std::vector<std::pair<double, const Element*>> cands;
+          cands.reserve(items.size());
+          if (fn) {
+            for (const Element& e : items) {
+              // NaN from a user distance function would break
+              // partial_sort's strict weak ordering; treat it as
+              // "infinitely far".
+              cands.emplace_back(SanitizeDistance(fn(e.first, query)), &e);
+            }
+          } else if (!items.empty()) {
+            // One preparation of the query per task; DistanceFrom(other)
+            // computes Distance(other, query.geo) without per-row setup.
+            const PreparedGeometry prepared(query.geo());
+            for (const Element& e : items) {
+              cands.emplace_back(
+                  SanitizeDistance(prepared.DistanceFrom(e.first.geo())), &e);
+            }
+            const IndexMetricSet& index_metrics = GlobalIndexMetrics();
+            index_metrics.prepared_misses->Increment();
+            index_metrics.prepared_hits->Add(items.size() - 1);
           }
-          const size_t keep = std::min(k, local.size());
-          std::partial_sort(
-              local.begin(), local.begin() + keep, local.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-          local.erase(local.begin() + static_cast<ptrdiff_t>(keep), local.end());
-          return local;
+          return knn_internal::Winners(std::move(cands), k);
         });
-    std::vector<std::pair<double, Element>> all = locals.Collect();
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (all.size() > k) all.erase(all.begin() + static_cast<ptrdiff_t>(k), all.end());
-    return all;
   }
 
   // ---- Indexing modes (§2.2) ---------------------------------------------
