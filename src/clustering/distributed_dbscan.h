@@ -25,7 +25,10 @@ namespace stark {
 /// Clustering is performed on the centroids of the spatial components
 /// (events are points in the paper's workloads). Returns the input elements
 /// paired with a global cluster id (kNoise for noise), partitioned by
-/// \p partitioner. Global ids are dense, starting at 0.
+/// \p partitioner. Global ids are dense, starting at 0. The extent of each
+/// partition of \p partitioner is grown by the envelope of every element
+/// placed there, so the result may be wrapped as a SpatialRDD with
+/// \p partitioner and pruned by extent like the output of PartitionBy.
 template <typename V>
 RDD<std::pair<std::pair<STObject, V>, int64_t>> DistributedDbscan(
     const SpatialRDD<V>& data, const DbscanParams& params,
@@ -49,6 +52,7 @@ RDD<std::pair<std::pair<STObject, V>, int64_t>> DistributedDbscan(
   for (size_t id = 0; id < n; ++id) {
     const Coordinate c = elements[id].first.Centroid();
     home[id] = partitioner->PartitionFor(c);
+    partitioner->GrowExtent(home[id], elements[id].first.envelope());
     local_points[home[id]].push_back({id, c});
     for (size_t p : partitioner->PartitionsWithinDistance(c, params.eps)) {
       if (p != home[id]) local_points[p].push_back({id, c});

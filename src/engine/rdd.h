@@ -6,6 +6,8 @@
 #ifndef STARK_ENGINE_RDD_H_
 #define STARK_ENGINE_RDD_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -89,8 +91,8 @@ void VisitRows(Partition<T> part, Visit&& visit) {
 }
 
 /// True when F's call operator takes its second parameter as an owned
-/// std::vector<T> (by value or by rvalue reference). Generic and overloaded
-/// call operators count as readers.
+/// std::vector<T> by value. Generic and overloaded call operators count as
+/// readers.
 template <typename M>
 struct SecondParam {
   using type = void;
@@ -114,9 +116,7 @@ struct CallOperator<F, std::void_t<decltype(&F::operator())>> {
 template <typename F, typename T>
 inline constexpr bool kTakesOwnedRows =
     std::is_same_v<typename SecondParam<typename CallOperator<F>::type>::type,
-                   std::vector<T>> ||
-    std::is_same_v<typename SecondParam<typename CallOperator<F>::type>::type,
-                   std::vector<T>&&>;
+                   std::vector<T>>;
 
 /// Materialized data, the leaf of every lineage graph.
 template <typename T>
@@ -207,8 +207,8 @@ class FlatMapRDD final : public RDDImpl<U> {
 
 /// fn(partition_index, partition_contents) -> new partition contents. A
 /// reader fn (taking `const std::vector<T>&`) reads a shared partition in
-/// place; a fn taking an owned `std::vector<T>` gets the rows by move when
-/// the caller owns the partition outright, else a counted copy.
+/// place; a fn taking an owned `std::vector<T>` by value gets the rows by
+/// move when the caller owns the partition outright, else a counted copy.
 template <typename T, typename U, typename F>
 class MapPartitionsRDD final : public RDDImpl<U> {
  public:
@@ -275,6 +275,28 @@ class PrunePartitionsRDD final : public RDDImpl<T> {
  private:
   std::shared_ptr<const RDDImpl<T>> parent_;
   std::function<bool(size_t)> keep_;
+};
+
+/// Partition i is partition parents[i] of the parent; the parent's other
+/// partitions are never computed (Spark's PartitionPruningRDD, which also
+/// narrows the partition list). Counts nothing: the caller knows how many
+/// partitions its whole plan skipped.
+template <typename T>
+class SelectPartitionsRDD final : public RDDImpl<T> {
+ public:
+  SelectPartitionsRDD(std::shared_ptr<const RDDImpl<T>> parent,
+                      std::vector<size_t> parents)
+      : RDDImpl<T>(parent->ctx()), parent_(std::move(parent)),
+        parents_(std::move(parents)) {}
+
+  size_t NumPartitions() const override { return parents_.size(); }
+  Partition<T> Compute(size_t p) const override {
+    return parent_->Compute(parents_[p]);
+  }
+
+ private:
+  std::shared_ptr<const RDDImpl<T>> parent_;
+  std::vector<size_t> parents_;
 };
 
 /// Computes each parent partition at most once and keeps it, like Spark's
@@ -401,6 +423,14 @@ class RDD {
   RDD<T> PrunePartitions(std::function<bool(size_t)> keep) const {
     return RDD<T>(std::make_shared<engine_internal::PrunePartitionsRDD<T>>(
         impl_, std::move(keep)));
+  }
+
+  /// The partitions \p parents of this RDD, in that order, as a new RDD of
+  /// parents.size() partitions; no other partition is computed.
+  RDD<T> SelectPartitions(std::vector<size_t> parents) const {
+    for (size_t p : parents) STARK_CHECK(p < NumPartitions());
+    return RDD<T>(std::make_shared<engine_internal::SelectPartitionsRDD<T>>(
+        impl_, std::move(parents)));
   }
 
   /// Bernoulli sample of roughly `fraction` of the elements; deterministic
@@ -606,14 +636,24 @@ class RDD {
     return acc;
   }
 
-  /// First \p n elements in partition order.
+  /// First \p n elements in partition order. Rows of a partition the
+  /// caller owns outright are moved; rows of a kept one are copied (counted
+  /// in `engine.partition.copied_rows`).
   std::vector<T> Take(size_t n) const {
+    static obs::Counter* const copied_rows =
+        obs::DefaultMetrics().GetCounter("engine.partition.copied_rows");
     std::vector<T> out;
     for (size_t p = 0; p < NumPartitions() && out.size() < n; ++p) {
-      const Partition<T> part = impl_->Compute(p);
-      for (const T& x : *part) {
-        if (out.size() >= n) break;
-        out.push_back(x);
+      Partition<T> part = impl_->Compute(p);
+      const size_t take = std::min(n - out.size(), part->size());
+      if (part.use_count() == 1) {
+        // Allocated non-const by MakePartition, as TakeRows relies on.
+        auto& rows = const_cast<std::vector<T>&>(*part);
+        for (size_t i = 0; i < take; ++i) out.push_back(std::move(rows[i]));
+      } else {
+        out.insert(out.end(), part->begin(),
+                   part->begin() + static_cast<ptrdiff_t>(take));
+        copied_rows->Add(take);
       }
     }
     return out;

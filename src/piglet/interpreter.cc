@@ -868,7 +868,8 @@ Result<PigRelation> Interpreter::ExecPartition(const Statement& stmt) {
   rel.schema = in->schema;
   rel.spatialized = true;
   rel.index_order = in->index_order;
-  rel.partitioner = partitioner;
+  // The clone PartitionBy grew by the rows' envelopes, not the bare cells.
+  rel.partitioner = parted.partitioner();
   rel.rdd = parted.rdd().Map([](std::pair<STObject, PigRow>& p) {
     PigRow row = std::move(p.second);
     row.st = std::move(p.first);

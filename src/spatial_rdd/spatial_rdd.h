@@ -74,15 +74,17 @@ Ranked<E> Winners(std::vector<std::pair<double, const E*>> cands, size_t k) {
 /// ranks the partitions with the smallest bound; job 2 ranks the remaining
 /// partitions whose bound is <= the k-th distance job 1 found — every
 /// remaining partition when job 1 found fewer than k rows or an infinite
-/// k-th distance. Partitions neither job keeps are never computed
-/// (engine.partitions.pruned).
+/// k-th distance. Each job runs one task per partition it ranks. Partitions
+/// neither job ranks are never computed; each adds one to
+/// engine.partitions.pruned.
 template <typename E, typename S, typename Local>
 Ranked<E> RankNearest(const RDD<S>& source, const std::vector<double>& bounds,
                       size_t k, Local local) {
+  static obs::Counter* const pruned =
+      obs::DefaultMetrics().GetCounter("engine.partitions.pruned");
   if (k == 0) return {};
-  auto rank = [&](std::function<bool(size_t)> keep) {
-    const RDD<S> kept = keep ? source.PrunePartitions(std::move(keep)) : source;
-    return kept
+  auto rank = [&](const RDD<S>& parts) {
+    return parts
         .MapPartitionsWithIndex(
             [local](size_t, const std::vector<S>& rows) { return local(rows); })
         .Collect();
@@ -93,24 +95,25 @@ Ranked<E> RankNearest(const RDD<S>& source, const std::vector<double>& bounds,
     KeepNearest(&best, k);
   };
   if (bounds.empty()) {
-    merge(rank(nullptr));
+    merge(rank(source));
     return best;
   }
   const double nearest = *std::min_element(bounds.begin(), bounds.end());
-  auto first = std::make_shared<std::vector<char>>(bounds.size());
-  for (size_t p = 0; p < bounds.size(); ++p) (*first)[p] = bounds[p] <= nearest;
-  merge(rank([first](size_t p) { return (*first)[p] != 0; }));
+  std::vector<size_t> first;
+  for (size_t p = 0; p < bounds.size(); ++p) {
+    if (bounds[p] <= nearest) first.push_back(p);
+  }
+  merge(rank(source.SelectPartitions(first)));
 
   const double kth = best.size() < k
                          ? std::numeric_limits<double>::infinity()
                          : best.back().first;
-  auto second = std::make_shared<std::vector<char>>(bounds.size());
-  bool any = false;
+  std::vector<size_t> second;
   for (size_t p = 0; p < bounds.size(); ++p) {
-    (*second)[p] = !(*first)[p] && bounds[p] <= kth;
-    any = any || (*second)[p];
+    if (bounds[p] > nearest && bounds[p] <= kth) second.push_back(p);
   }
-  if (any) merge(rank([second](size_t p) { return (*second)[p] != 0; }));
+  pruned->Add(bounds.size() - first.size() - second.size());
+  if (!second.empty()) merge(rank(source.SelectPartitions(std::move(second))));
   return best;
 }
 
@@ -385,7 +388,10 @@ class SpatialRDD {
  public:
   using Element = std::pair<STObject, V>;
 
-  /// Wraps an existing engine RDD (no data movement).
+  /// Wraps an existing engine RDD (no data movement). A \p partitioner must
+  /// describe how \p rdd is partitioned, with each partition's extent
+  /// covering the envelopes of its rows: Filter, Knn and the joins prune by
+  /// those extents.
   explicit SpatialRDD(RDD<Element> rdd,
                       std::shared_ptr<SpatialPartitioner> partitioner = nullptr)
       : rdd_(std::move(rdd)), partitioner_(std::move(partitioner)) {}

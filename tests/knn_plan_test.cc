@@ -38,6 +38,13 @@ uint64_t PrunedPartitions() {
   return obs::DefaultMetrics().GetCounter("engine.partitions.pruned")->Value();
 }
 
+/// Partitions computed through a cache node, materialized or not.
+uint64_t CacheReads() {
+  obs::MetricsRegistry& metrics = obs::DefaultMetrics();
+  return metrics.GetCounter("engine.cache.hits")->Value() +
+         metrics.GetCounter("engine.cache.misses")->Value();
+}
+
 /// Three Gaussian clusters plus uniform noise in y < 90, a few small boxes,
 /// four tie rows on the strip y = 95 placed symmetrically about x = 50 (a
 /// partition boundary of every grid here), and rows with NaN coordinates.
@@ -198,16 +205,27 @@ TEST_P(KnnPlanTest, TiesAtTheKthDistanceAcrossABoundary) {
 }
 
 TEST_P(KnnPlanTest, QueryInsideAClusterPrunesPartitions) {
+  // Every partition is either read once (a cache hit or miss) or counted
+  // once as pruned, never both, across both jobs of the plan.
   const STObject q(Geometry::MakePoint(72.0, 30.0));
-  const uint64_t before = PrunedPartitions();
+  const size_t n = data_.NumPartitions();
+  uint64_t reads = CacheReads();
+  uint64_t pruned = PrunedPartitions();
   ExpectMatches(rows_, data_.Knn(q, 10), q, 10, "scan in cluster");
-  EXPECT_GT(PrunedPartitions(), before);
+  const uint64_t scan_reads = CacheReads() - reads;
+  const uint64_t scan_pruned = PrunedPartitions() - pruned;
+  EXPECT_GT(scan_pruned, 0u);
+  EXPECT_EQ(scan_reads + scan_pruned, n);
 
   const IndexedSpatialRDD<int64_t> indexed = data_.Index(8);
   indexed.trees().Count();
-  const uint64_t before_index = PrunedPartitions();
+  reads = CacheReads();
+  pruned = PrunedPartitions();
   ExpectMatches(rows_, indexed.Knn(q, 10), q, 10, "index in cluster");
-  EXPECT_GT(PrunedPartitions(), before_index);
+  const uint64_t index_reads = CacheReads() - reads;
+  const uint64_t index_pruned = PrunedPartitions() - pruned;
+  EXPECT_GT(index_pruned, 0u);
+  EXPECT_EQ(index_reads + index_pruned, n);
 }
 
 TEST_P(KnnPlanTest, CustomDistanceFunctionDoesNotPrune) {

@@ -12,6 +12,7 @@
 #include "clustering/dbscan.h"
 #include "common/serde.h"
 #include "fault/failpoint.h"
+#include "geometry/predicates.h"
 #include "io/csv.h"
 #include "io/generator.h"
 #include "obs/profile.h"
@@ -309,6 +310,92 @@ TEST_F(PigletInterpreterTest, ClusterAddsClusterColumn) {
   EXPECT_EQ(label_by_id[3], label_by_id[4]);
   EXPECT_NE(label_by_id[1], label_by_id[3]);
   EXPECT_EQ(label_by_id[5], kNoise);
+}
+
+// Polygons whose centroid lies in a far grid cell but whose shape reaches
+// the query's cell: a relation partitioned by PARTITION or CLUSTER must
+// carry extents grown by the rows' envelopes, or kNN and FILTER prune the
+// cell that holds the answer.
+class PigletCrossCellTest : public ::testing::Test {
+ protected:
+  PigletCrossCellTest() : interp_(&ctx_, &out_) {
+    csv_path_ = test::UniqueTempPath("piglet_cross_cell.csv");
+    std::vector<EventRecord> records = {
+        // Centroid (52.5, 5), three cells east of the query at (5, 5), but
+        // only 1 away from it.
+        {1, "long", 100, "POLYGON ((6 4, 99 4, 99 6, 6 6, 6 4))"},
+        {2, "near", 100, "POINT (5 7)"},
+        {3, "near", 100, "POINT (5 8.5)"},
+        {4, "corner", 100, "POINT (0 0)"},
+        {5, "corner", 100, "POINT (99 99)"},
+        {6, "square", 100, "POLYGON ((30 60, 98 60, 98 98, 30 98, 30 60))"},
+        {7, "tall", 100, "POLYGON ((2 20, 3 20, 3 97, 2 97, 2 20))"},
+    };
+    STARK_CHECK(WriteEventsCsv(csv_path_, records).ok());
+  }
+
+  ~PigletCrossCellTest() override { std::remove(csv_path_.c_str()); }
+
+  /// Checks relation \p name's knn_distance column against a nested loop
+  /// over every loaded row.
+  void ExpectKnnMatchesBruteForce(const std::string& name,
+                                  const Geometry& query, size_t k) {
+    std::vector<double> want;
+    for (const PigRow& row :
+         interp_.relation("s").ValueOrDie()->rdd.Collect()) {
+      want.push_back(Distance(row.st->geo(), query));
+    }
+    std::sort(want.begin(), want.end());
+    want.resize(std::min(k, want.size()));
+    const std::vector<PigRow> got =
+        interp_.relation(name).ValueOrDie()->rdd.Collect();
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_DOUBLE_EQ(std::get<double>(got[i].fields.back()), want[i])
+          << name << " rank " << i;
+    }
+  }
+
+  Context ctx_{2};
+  std::ostringstream out_;
+  Interpreter interp_;
+  std::string csv_path_;
+};
+
+TEST_F(PigletCrossCellTest, ClusterThenKnnMatchesBruteForce) {
+  ASSERT_TRUE(interp_
+                  .RunScript("e = LOAD '" + csv_path_ +
+                             "';\n"
+                             "s = SPATIALIZE e;\n"
+                             "c = CLUSTER s USING DBSCAN(1.0, 2) GRID 4;\n"
+                             "k1 = KNN c QUERY 'POINT(5 5)' K 1;\n"
+                             "k2 = KNN c QUERY 'POINT(5 5)' K 2;\n"
+                             "k4 = KNN c QUERY 'POINT(50 30)' K 4;\n")
+                  .ok());
+  ASSERT_NE(interp_.relation("c").ValueOrDie()->partitioner, nullptr);
+  const Geometry near = Geometry::MakePoint(5, 5);
+  ExpectKnnMatchesBruteForce("k1", near, 1);
+  ExpectKnnMatchesBruteForce("k2", near, 2);
+  ExpectKnnMatchesBruteForce("k4", Geometry::MakePoint(50, 30), 4);
+}
+
+TEST_F(PigletCrossCellTest, PartitionThenKnnAndFilterSeeCrossingRows) {
+  ASSERT_TRUE(
+      interp_
+          .RunScript("e = LOAD '" + csv_path_ +
+                     "';\n"
+                     "s = SPATIALIZE e;\n"
+                     "p = PARTITION s BY GRID(4);\n"
+                     "k2 = KNN p QUERY 'POINT(5 5)' K 2;\n"
+                     "f = FILTER p BY INTERSECTS("
+                     "'POLYGON ((10 4.5, 11 4.5, 11 5.5, 10 5.5, 10 4.5))', "
+                     "0, 2000);\n")
+          .ok());
+  ExpectKnnMatchesBruteForce("k2", Geometry::MakePoint(5, 5), 2);
+  const std::vector<PigRow> hits =
+      interp_.relation("f").ValueOrDie()->rdd.Collect();
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(std::get<int64_t>(hits[0].fields[0]), 1);
 }
 
 TEST_F(PigletInterpreterTest, SpatioTemporalPartitioning) {
