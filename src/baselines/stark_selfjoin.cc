@@ -60,43 +60,46 @@ BaselineStats StarkSelfJoin(Context* ctx, const std::vector<STObject>& data,
   JoinOptions join_options;
   join_options.index_order = options.index_order;
   rdd = rdd.Cache();
-  // Project to id pairs inside the join tasks (the payload is the id), as
-  // a Spark program would map the join output; identity matches are
-  // excluded like in the baselines.
+  const JoinPredicate pred = JoinPredicate::WithinDistance(max_distance);
+  // Every mode projects to id pairs inside the join tasks (the payload is
+  // the id), as a Spark program would map the join output.
   using Element = std::pair<STObject, int64_t>;
-  const auto project = [](const Element& l, const Element& r) {
+  const auto project_ids = [](const Element& l, const Element& r) {
     return std::pair<int64_t, int64_t>(l.second, r.second);
   };
-  const auto non_identity = [](const std::pair<int64_t, int64_t>& p) {
-    return p.first != p.second;
-  };
-  const JoinPredicate pred = JoinPredicate::WithinDistance(max_distance);
-  RDD<std::pair<int64_t, int64_t>> joined = [&] {
-    switch (options.join_mode) {
-      case StarkJoinMode::kCachedIndex: {
-        stats.config += "+cached-index";
-        IndexedSpatialRDD<int64_t> indexed = rdd.Index(options.index_order);
-        // Materialize the cached trees outside the timed join phase — the
-        // variant measures what a join costs once the index already exists.
-        indexed.trees().Count();
-        phase.Restart();
-        return SpatialJoinProject(indexed, rdd, pred, join_options, project)
-            .Filter(non_identity);
-      }
-      case StarkJoinMode::kBroadcast:
-        stats.config += "+broadcast";
-        // A self join always has a "small enough" side; force the
-        // broadcast plan to measure it against pair enumeration.
-        join_options.broadcast_threshold = data.size();
-        return SpatialJoinProject(rdd, rdd, pred, join_options, project)
-            .Filter(non_identity);
-      case StarkJoinMode::kLiveIndex:
-        break;
+  switch (options.join_mode) {
+    case StarkJoinMode::kCachedIndex: {
+      stats.config += "+cached-index";
+      IndexedSpatialRDD<int64_t> indexed = rdd.Index(options.index_order);
+      // Materialize the cached trees outside the timed join phase — the
+      // variant measures what a join costs once the index already exists.
+      indexed.trees().Count();
+      phase.Restart();
+      // Exclude identity matches, like the baselines.
+      stats.result_pairs =
+          SpatialJoinProject(indexed, rdd, pred, join_options, project_ids)
+              .Filter([](const std::pair<int64_t, int64_t>& p) {
+                return p.first != p.second;
+              })
+              .Count();
+      break;
     }
-    return SpatialJoinProject(rdd, rdd, pred, join_options, project)
-        .Filter(non_identity);
-  }();
-  stats.result_pairs = joined.Count();
+    case StarkJoinMode::kBroadcast:
+      stats.config += "+broadcast";
+      // A self join always has a "small enough" side; force the
+      // broadcast plan to measure it against pair enumeration.
+      join_options.broadcast_threshold = data.size();
+      [[fallthrough]];
+    case StarkJoinMode::kLiveIndex:
+      // The self join drops the identity matches inside its probe.
+      stats.result_pairs =
+          SelfSpatialJoinProject(
+              rdd, pred, join_options,
+              [&project_ids](const Element& l, size_t, const Element& r,
+                             size_t) { return project_ids(l, r); })
+              .Count();
+      break;
+  }
   stats.join_seconds = phase.ElapsedSeconds();
 
   stats.total_seconds = total.ElapsedSeconds();

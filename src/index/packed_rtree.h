@@ -61,6 +61,18 @@ class PackedRTree {
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaf_nodes() const { return num_leaf_nodes_; }
 
+  /// Approximate heap footprint in bytes (capacity-based; a T's own heap
+  /// allocations are not counted).
+  size_t MemoryBytes() const {
+    auto soa = [](const EnvelopeSoA& s) {
+      return (s.min_x.capacity() + s.min_y.capacity() + s.max_x.capacity() +
+              s.max_y.capacity()) *
+             sizeof(double);
+    };
+    return soa(entries_) + soa(nodes_) + values_.capacity() * sizeof(T) +
+           (node_begin_.capacity() + node_end_.capacity()) * sizeof(uint32_t);
+  }
+
   /// Bounding box of everything in the tree (empty envelope when empty).
   const Envelope& bounds() const { return bounds_; }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "common/serde.h"
 #include "obs/json_util.h"
@@ -62,13 +63,29 @@ void FlightRecorder::Record(FlightEvent e) {
   if (e.ts_ns == 0) e.ts_ns = NowNanos();
   const uint64_t i = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[i & mask_];
-  // Seqlock write: mark the slot in-progress (odd), store the payload as
-  // relaxed atomic words, then publish with the slot's even sequence for
-  // lap i. A reader accepts the slot only when it sees the same even
-  // sequence before and after reading the words. Two writers a full lap
-  // apart can interleave on the same slot; whichever publishes last wins
-  // and intermediate readers skip — acceptable for a stats ring.
-  s.seq.store(2 * i + 1, std::memory_order_release);
+  // Seqlock write. The writer first owns the slot: a CAS from an even
+  // (published or empty) sequence to the odd 2*i+1. A writer that finds
+  // the slot odd waits for the other writer (a lap ahead or behind) to
+  // publish, so two writers never interleave on one slot; a writer that
+  // finds a later lap already published drops its older event. The
+  // release fence after the CAS orders the odd sequence before every
+  // payload store: a reader that sees any of this write's words sees the
+  // odd (or a later) sequence on its re-check and discards the slot.
+  uint64_t seq = s.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((seq & 1) != 0) {
+      std::this_thread::yield();
+      seq = s.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (seq > 2 * i) return;  // a later lap owns the slot already
+    if (s.seq.compare_exchange_weak(seq, 2 * i + 1,
+                                    std::memory_order_acquire,
+                                    std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  std::atomic_thread_fence(std::memory_order_release);
   s.words[0].store(e.ts_ns, std::memory_order_relaxed);
   s.words[1].store(e.job, std::memory_order_relaxed);
   s.words[2].store(PackIds(e), std::memory_order_relaxed);
@@ -109,8 +126,10 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   out.reserve(static_cast<size_t>(end - begin));
   for (uint64_t i = begin; i < end; ++i) {
     const Slot& s = slots_[i & mask_];
+    // Accept only lap i's published sequence: not an empty slot, not one
+    // being written, not an older or newer lap.
     const uint64_t seq_before = s.seq.load(std::memory_order_acquire);
-    if (seq_before == 0 || (seq_before & 1) != 0) continue;  // empty/writing
+    if (seq_before != 2 * (i + 1)) continue;
     FlightEvent e;
     uint64_t detail_words[kDetailWords];
     e.ts_ns = s.words[0].load(std::memory_order_relaxed);

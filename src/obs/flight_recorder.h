@@ -8,10 +8,13 @@
 /// decisions that led up to the failure can be dumped for a post-mortem
 /// without re-running anything.
 ///
-/// Concurrency model: writers claim a slot with one fetch_add and publish
-/// it with a per-slot sequence counter (a seqlock); the payload itself is
+/// Concurrency model: writers claim an index with one fetch_add, own the
+/// index's slot by a CAS of its sequence counter (a seqlock) from even to
+/// odd, and publish it with the next even value; the payload itself is
 /// stored as relaxed atomic words, so late readers either observe a fully
-/// published event or skip the slot — no locks, no torn reads, TSan-clean.
+/// published event of the lap they expect or skip the slot — no locks, no
+/// torn reads, TSan-clean. A writer waits only while another writer, a
+/// full lap apart, holds the same slot.
 ///
 /// Dumps: `Dump(path, reason)` writes a JSON post-mortem of the surviving
 /// ring contents. Arm auto-dumping with STARK_FLIGHT_RECORDER=<path> (or
@@ -94,8 +97,10 @@ class FlightRecorder {
             .count());
   }
 
-  /// Records one event (timestamps it if \p e.ts_ns is 0). Lock-free;
-  /// callable from any thread including pool workers mid-task.
+  /// Records one event (timestamps it if \p e.ts_ns is 0). Lock-free
+  /// unless a writer a lap apart holds the same slot; callable from any
+  /// thread including pool workers mid-task. An event whose slot a later
+  /// lap has already taken is dropped (it would be overwritten anyway).
   void Record(FlightEvent e);
 
   /// Convenience: build + record a task-lifecycle event.

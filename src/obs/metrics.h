@@ -36,10 +36,12 @@ class Counter {
   std::atomic<uint64_t> v_{0};
 };
 
-/// Last-write-wins instantaneous value (pool size, live partitions, ...).
+/// Instantaneous value (pool size, live partitions, bytes held, ...): set
+/// outright, or moved by deltas when several owners share it.
 class Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

@@ -7,8 +7,9 @@
 /// GeoSpark-style baseline).
 ///
 /// Three execution strategies (see docs/JOINS.md):
-///  - live-index: build an R-tree over each participating left partition at
-///    join time (the classic STARK plan);
+///  - live-index: probe an R-tree over each participating left partition
+///    (the classic STARK plan), built at join time — once per cached
+///    dataset, whose resident ProbeIndex keeps it, else once per call;
 ///  - cached-index: the overloads taking an IndexedSpatialRDD probe the
 ///    trees built by Index()/LiveIndex()/Load() instead of rebuilding —
 ///    `engine.join.tree_builds` stays 0 on this path;
@@ -39,6 +40,7 @@
 #include "obs/trace.h"
 #include "spatial_rdd/columnar_refine.h"
 #include "spatial_rdd/probe.h"
+#include "spatial_rdd/probe_index.h"
 #include "spatial_rdd/query_stats.h"
 #include "spatial_rdd/spatial_rdd.h"
 
@@ -199,40 +201,69 @@ inline std::vector<ProbeTask> PlanProbeTasks(
 /// Trace annotation for a probe task, e.g. "L3xR1" or "L3xR1 [500,1000)"
 /// for a skew-split sub-range.
 inline std::string TaskDetail(const ProbeTask& t, size_t full_range) {
-  std::string d = "L" + std::to_string(t.left) + "xR" + std::to_string(t.right);
+  // Appended piecewise: GCC 12 flags `"L" + std::string` with a false
+  // -Wrestrict.
+  std::string d = "L";
+  d += std::to_string(t.left);
+  d += "xR";
+  d += std::to_string(t.right);
   if (t.begin != 0 || t.end != full_range) {
     d += " [" + std::to_string(t.begin) + "," + std::to_string(t.end) + ")";
   }
   return d;
 }
 
-/// Broadcast strategy: the rows of \p small_parts are flattened into one
-/// side (as pointers into the shared partitions, which stay uncopied),
-/// indexed once (an R-tree when \p use_index, plus its slab), and probed
-/// from every partition of \p big_parts, one task per big partition.
-/// \p small_left states which operand the small side fills;
-/// `pair(big, small)` builds an output record. \p label(b) names task b in
-/// its span.
-template <typename Out, typename B, typename S, typename Pair, typename Label>
+/// One operand of the join core: its partitions, read once per join; the
+/// partitioner that describes them (may be null); and, for the wrapper
+/// Cache() returned, its resident probe index (null otherwise).
+template <typename T>
+struct Side {
+  std::vector<Partition<T>> parts;
+  std::shared_ptr<SpatialPartitioner> partitioner;
+  std::shared_ptr<ProbeIndex> index;
+  size_t total = 0;  ///< rows over all partitions
+};
+
+/// Reads every partition of \p data once (cached partitions are shared, not
+/// copied).
+template <typename V>
+Side<std::pair<STObject, V>> SideOf(const SpatialRDD<V>& data) {
+  Side<std::pair<STObject, V>> side{data.rdd().SharedPartitions(),
+                                    data.partitioner(), data.probe_index()};
+  for (const auto& part : side.parts) side.total += part->size();
+  return side;
+}
+
+/// Broadcast plan: the rows of \p small are flattened into one side (as
+/// (partition, row) handles; the shared partitions stay uncopied), indexed
+/// once (an R-tree when \p use_index, plus its slab), and probed from every
+/// partition of \p big, one task per big partition. \p small_left states
+/// which operand of the predicate the small side fills. Every match goes to
+/// `emit(sink, big partition, big row, small partition, small row)`.
+template <typename Out, typename B, typename S, typename Emit>
 std::vector<std::vector<Out>> Broadcast(
-    Context* ctx, const std::vector<Partition<S>>& small_parts,
-    const std::vector<Partition<B>>& big_parts, const JoinPredicate& pred,
-    const JoinOptions& options, bool use_index, bool small_left, Pair pair,
-    Label label) {
+    Context* ctx, const std::vector<Partition<S>>& small,
+    const std::vector<Partition<B>>& big, const JoinPredicate& pred,
+    const JoinOptions& options, bool use_index, bool small_left, Emit& emit) {
   const JoinMetricSet& metrics = GlobalJoinMetrics();
   size_t total = 0;
-  for (const auto& part : small_parts) total += part->size();
-  std::vector<const S*> small;
-  small.reserve(total);
-  for (const auto& part : small_parts) {
-    for (const S& e : *part) small.push_back(&e);
+  for (const auto& part : small) total += part->size();
+  std::vector<const S*> rows;
+  std::vector<std::pair<size_t, size_t>> handles;
+  rows.reserve(total);
+  handles.reserve(total);
+  for (size_t p = 0; p < small.size(); ++p) {
+    for (size_t r = 0; r < small[p]->size(); ++r) {
+      rows.push_back(&(*small[p])[r]);
+      handles.emplace_back(p, r);
+    }
   }
   PackedRTree<size_t> tree;
   if (use_index) {
     std::vector<std::pair<Envelope, size_t>> entries;
-    entries.reserve(small.size());
-    for (size_t e = 0; e < small.size(); ++e) {
-      entries.emplace_back(small[e]->first.envelope(), e);
+    entries.reserve(rows.size());
+    for (size_t e = 0; e < rows.size(); ++e) {
+      entries.emplace_back(rows[e]->first.envelope(), e);
     }
     tree = PackedRTree<size_t>(options.index_order, std::move(entries));
     metrics.tree_builds->Increment();
@@ -240,111 +271,93 @@ std::vector<std::vector<Out>> Broadcast(
   // The small side is stable for the whole join: one slab, shared by every
   // task (engine.columnar.slab_reuse once per task).
   std::unique_ptr<const ColumnarBatch> slab;
-  if (columnar_refine::Refinable(pred) && !small.empty() &&
-      small.size() <= UINT32_MAX) {
+  if (columnar_refine::Refinable(pred) && !rows.empty() &&
+      rows.size() <= UINT32_MAX) {
     slab = std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-        small, [](const S* e) -> const STObject& { return e->first; }));
+        rows, [](const S* e) -> const STObject& { return e->first; }));
     GlobalColumnarMetrics().batches->Increment();
   }
-  std::vector<std::vector<Out>> out(big_parts.size());
-  ctx->RunTasks("spatial.join.broadcast", big_parts.size(), [&](size_t b) {
+  std::vector<std::vector<Out>> out(big.size());
+  ctx->RunTasks("spatial.join.broadcast", big.size(), [&](size_t b) {
     std::vector<Out>& sink = out[b];
     sink.clear();  // retry-idempotent: a re-run starts from scratch
     Probe probe(pred, small_left, slab.get());
-    auto obj = [&small](size_t e) -> const STObject& {
-      return small[e]->first;
-    };
-    for (const B& row : *big_parts[b]) {
-      auto keep = [&](size_t e) { sink.push_back(pair(row, *small[e])); };
+    auto obj = [&rows](size_t e) -> const STObject& { return rows[e]->first; };
+    const std::vector<B>& bv = *big[b];
+    for (size_t brow = 0; brow < bv.size(); ++brow) {
+      auto keep = [&](size_t e) {
+        emit(&sink, b, brow, handles[e].first, handles[e].second);
+      };
       if (use_index) {
-        probe.Tree(tree, row.first, obj, keep);
+        probe.Tree(tree, bv[brow].first, obj, keep);
       } else {
-        probe.Scan(small.size(), row.first, obj, keep);
+        probe.Scan(rows.size(), bv[brow].first, obj, keep);
       }
     }
     if (slab != nullptr) GlobalColumnarMetrics().slab_reuse->Increment();
-    probe.Finish(label(b), big_parts[b]->size());
+    // The span names the task "L3xR* (broadcast)" or "L*xR3 (broadcast)".
+    std::string label = small_left ? "L*xR" : "L";
+    label += std::to_string(b);
+    label += small_left ? " (broadcast)" : "xR* (broadcast)";
+    probe.Finish(label, bv.size());
     metrics.prefilter_skips->Add(probe.envelope_skips());
     metrics.results->Add(sink.size());
   });
   return out;
 }
 
-}  // namespace join_internal
-
-/// \brief Joins two spatial RDDs on \p pred and emits project(l, r) for
-/// every matching pair — the projection runs inside the join tasks, so
-/// callers that only need payloads (or ids) avoid materializing full
-/// geometry pairs.
+/// \brief The join core behind SpatialJoinProject and SelfSpatialJoin.
 ///
-/// Live-index strategy: an R-tree is built over each participating left
-/// partition at join time (skipped entirely when the predicate cannot use
-/// it). With `options.broadcast_threshold` set and one side small enough,
-/// the broadcast strategy is taken instead. Correctness does not require
-/// spatial partitioning; with it, extent pruning skips partition pairs that
-/// cannot match.
-template <typename V, typename W, typename Project>
-auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
-                        const JoinPredicate& pred, const JoinOptions& options,
-                        Project project)
-    -> RDD<std::invoke_result_t<Project, const std::pair<STObject, V>&,
-                                const std::pair<STObject, W>&>> {
-  using L = std::pair<STObject, V>;
-  using R = std::pair<STObject, W>;
-  using Out = std::invoke_result_t<Project, const L&, const R&>;
-  namespace ji = join_internal;
-
-  Context* ctx = left.ctx();
-  const size_t nl = left.NumPartitions();
-  const size_t nr = right.NumPartitions();
-  const double margin = pred.EnvelopeMargin();
+/// Hands every matching (left partition, left row, right partition, right
+/// row) to `emit(sink, li, lrow, ri, rrow)` inside the task that found it;
+/// emit appends what it makes of the match to \p sink, the task's output
+/// partition. With `options.broadcast_threshold` set and one side small
+/// enough, the broadcast plan runs. Otherwise partition pairs are
+/// enumerated (pruned by extents when both sides have a partitioner), and
+/// each task probes its right rows against the left partition's tree (the
+/// live index), or scans the left partition when the predicate cannot use
+/// a tree or `index_order` is 0. The left trees and slabs come from the
+/// left side's resident index when it has one (built by the first join
+/// that needs them, kept for every later one), else are built for this
+/// join alone; either way one build-stage task per left partition fetches
+/// them before any probe task runs, so builds run in parallel.
+template <typename Out, typename L, typename R, typename Emit>
+std::vector<std::vector<Out>> Join(Context* ctx, const Side<L>& left,
+                                   const Side<R>& right,
+                                   const JoinPredicate& pred,
+                                   const JoinOptions& options, Emit emit) {
+  const size_t nl = left.parts.size();
+  const size_t nr = right.parts.size();
   const JoinMetricSet& metrics = GlobalJoinMetrics();
 
   // An index only helps predicates that admit envelope candidate pruning;
   // for the rest, building trees would be pure wasted work.
   const bool use_index = options.index_order > 0 && pred.Prunable();
 
-  // Materialize both sides once; cached partitions are shared, not copied.
-  const std::vector<Partition<L>> left_parts = left.rdd().SharedPartitions();
-  const std::vector<Partition<R>> right_parts = right.rdd().SharedPartitions();
-  std::vector<size_t> left_sizes(nl, 0);
-  std::vector<size_t> right_sizes(nr, 0);
-  size_t total_l = 0;
-  size_t total_r = 0;
-  for (size_t i = 0; i < nl; ++i) total_l += left_sizes[i] = left_parts[i]->size();
-  for (size_t j = 0; j < nr; ++j) total_r += right_sizes[j] = right_parts[j]->size();
-
   // ---- Broadcast strategy -------------------------------------------------
   // One side fits under the threshold: flatten it, index it once, and probe
   // it from every partition of the other side — no pair enumeration at all.
   if (options.broadcast_threshold > 0 &&
-      std::min(total_l, total_r) <= options.broadcast_threshold) {
+      std::min(left.total, right.total) <= options.broadcast_threshold) {
     metrics.broadcast_joins->Increment();
-    if (total_r <= total_l) {
-      return MakeRDDFromPartitions(
-          ctx, ji::Broadcast<Out>(
-                   ctx, right_parts, left_parts, pred, options,
-                   use_index, /*small_left=*/false,
-                   [&project](const L& l, const R& r) { return project(l, r); },
-                   [](size_t i) {
-                     return "L" + std::to_string(i) + "xR* (broadcast)";
-                   }));
+    if (right.total <= left.total) {
+      return Broadcast<Out>(ctx, right.parts, left.parts, pred, options,
+                            use_index, /*small_left=*/false, emit);
     }
-    return MakeRDDFromPartitions(
-        ctx, ji::Broadcast<Out>(
-                 ctx, left_parts, right_parts, pred, options,
-                 use_index, /*small_left=*/true,
-                 [&project](const R& r, const L& l) { return project(l, r); },
-                 [](size_t j) {
-                   return "L*xR" + std::to_string(j) + " (broadcast)";
-                 }));
+    auto swapped = [&emit](std::vector<Out>* sink, size_t b, size_t brow,
+                           size_t s, size_t srow) {
+      emit(sink, s, srow, b, brow);
+    };
+    return Broadcast<Out>(ctx, left.parts, right.parts, pred, options,
+                          use_index, /*small_left=*/true, swapped);
   }
 
   // ---- Partition-pair strategy (live index / nested loop) ----------------
   // Enumerate candidate partition pairs, pruned by extents when available.
-  const auto& lp = left.partitioner();
-  const auto& rp = right.partitioner();
+  const auto& lp = left.partitioner;
+  const auto& rp = right.partitioner;
   const bool can_prune = pred.Prunable() && lp != nullptr && rp != nullptr;
+  const double margin = pred.EnvelopeMargin();
   std::vector<std::pair<size_t, size_t>> pairs;
   pairs.reserve(can_prune ? nl + nr : nl * nr);
   size_t pruned = 0;
@@ -363,51 +376,50 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   metrics.pairs_enumerated->Add(pairs.size());
   metrics.pairs_pruned->Add(pruned);
 
-  // Build a live index over each participating left partition (once, not
-  // once per pair) — but only when the predicate can actually use it — and
-  // the partition's slab, shared by every probe task that targets it
-  // (skew-split sub-tasks of one pair: engine.columnar.slab_reuse).
+  // The tree (when the predicate can use one) and the slab of each left
+  // partition some pair probes, one task per partition: taken from the
+  // left side's resident index, where the first join that needs them
+  // builds them, or built for this join alone.
   std::vector<char> left_used(nl, 0);
   for (const auto& [i, j] : pairs) {
     (void)j;
     left_used[i] = 1;
   }
   const bool use_slab = columnar_refine::Refinable(pred);
-  std::vector<std::unique_ptr<PackedRTree<size_t>>> left_trees(nl);
-  std::vector<std::unique_ptr<const ColumnarBatch>> left_slabs(nl);
+  std::vector<std::shared_ptr<const PackedRTree<size_t>>> left_trees(nl);
+  std::vector<std::shared_ptr<const ColumnarBatch>> left_slabs(nl);
   if (use_index || use_slab) {
+    std::vector<char> built(nl, 0);
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
       if (!left_used[i]) return;
-      const std::vector<L>& part = *left_parts[i];
+      const std::vector<L>& part = *left.parts[i];
       if (use_index) {
-        std::vector<std::pair<Envelope, size_t>> entries;
-        entries.reserve(part.size());
-        for (size_t e = 0; e < part.size(); ++e) {
-          entries.emplace_back(part[e].first.envelope(), e);
-        }
-        left_trees[i] = std::make_unique<PackedRTree<size_t>>(
-            options.index_order, std::move(entries));
+        bool tree_built = false;
+        left_trees[i] = ProbeIndex::Tree(left.index.get(), i,
+                                         options.index_order, part,
+                                         &tree_built);
+        built[i] = tree_built ? 1 : 0;
       }
       if (use_slab && !part.empty() && part.size() <= UINT32_MAX) {
-        left_slabs[i] = std::make_unique<const ColumnarBatch>(
-            ColumnarBatch::Build(part, [](const L& e) -> const STObject& {
-              return e.first;
-            }));
+        left_slabs[i] = ProbeIndex::Slab(left.index.get(), i, part);
       }
     });
     size_t tree_builds = 0;
-    size_t slab_builds = 0;
+    size_t tree_hits = 0;
     for (size_t i = 0; i < nl; ++i) {
-      tree_builds += left_trees[i] ? 1 : 0;
-      slab_builds += left_slabs[i] ? 1 : 0;
+      if (left_trees[i] != nullptr) ++(built[i] ? tree_builds : tree_hits);
     }
     metrics.tree_builds->Add(tree_builds);
-    GlobalColumnarMetrics().batches->Add(slab_builds);
+    metrics.tree_reuse_hits->Add(tree_hits);
   }
 
   // Plan the probe schedule: per-pair costs, skew splitting, longest-first.
+  std::vector<size_t> left_sizes(nl, 0);
+  std::vector<size_t> right_sizes(nr, 0);
+  for (size_t i = 0; i < nl; ++i) left_sizes[i] = left.parts[i]->size();
+  for (size_t j = 0; j < nr; ++j) right_sizes[j] = right.parts[j]->size();
   size_t pairs_split = 0;
-  const std::vector<ji::ProbeTask> tasks = ji::PlanProbeTasks(
+  const std::vector<ProbeTask> tasks = PlanProbeTasks(
       pairs, left_sizes, right_sizes, use_index, options, &pairs_split);
   metrics.pairs_split->Add(pairs_split);
   metrics.subtasks->Add(tasks.size());
@@ -416,9 +428,9 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   // scan of its rows ("No Indexing").
   std::vector<std::vector<Out>> out(tasks.size());
   ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
-    const ji::ProbeTask& task = tasks[t];
-    const std::vector<L>& lv = *left_parts[task.left];
-    const std::vector<R>& rv = *right_parts[task.right];
+    const ProbeTask& task = tasks[t];
+    const std::vector<L>& lv = *left.parts[task.left];
+    const std::vector<R>& rv = *right.parts[task.right];
     const PackedRTree<size_t>* tree = left_trees[task.left].get();
     const ColumnarBatch* slab = left_slabs[task.left].get();
     std::vector<Out>& sink = out[t];
@@ -430,20 +442,56 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
     Probe probe(pred, /*cand_left=*/true, slab);
     auto obj = [&lv](size_t e) -> const STObject& { return lv[e].first; };
     for (size_t rix = task.begin; rix < task.end; ++rix) {
-      const R& r = rv[rix];
-      auto keep = [&](size_t e) { sink.push_back(project(lv[e], r)); };
+      auto keep = [&](size_t e) {
+        emit(&sink, task.left, e, task.right, rix);
+      };
       if (tree != nullptr) {
-        probe.Tree(*tree, r.first, obj, keep);
+        probe.Tree(*tree, rv[rix].first, obj, keep);
       } else {
-        probe.Scan(lv.size(), r.first, obj, keep);
+        probe.Scan(lv.size(), rv[rix].first, obj, keep);
       }
     }
-    probe.Finish(ji::TaskDetail(task, rv.size()), task.end - task.begin);
+    probe.Finish(TaskDetail(task, rv.size()), task.end - task.begin);
     metrics.prefilter_skips->Add(probe.envelope_skips());
     metrics.results->Add(sink.size());
   });
+  return out;
+}
 
-  return MakeRDDFromPartitions(ctx, std::move(out));
+}  // namespace join_internal
+
+/// \brief Joins two spatial RDDs on \p pred and emits project(l, r) for
+/// every matching pair — the projection runs inside the join tasks, so
+/// callers that only need payloads (or ids) avoid materializing full
+/// geometry pairs.
+///
+/// Live-index strategy: each participating left partition is probed
+/// through an R-tree over its rows (skipped entirely when the predicate
+/// cannot use it). A left side that Cache() returned keeps its trees and
+/// slabs resident, so only its first join builds them; any other left side
+/// builds them once per call. With `options.broadcast_threshold` set and
+/// one side small enough, the broadcast strategy is taken instead.
+/// Correctness does not require spatial partitioning; with it, extent
+/// pruning skips partition pairs that cannot match.
+template <typename V, typename W, typename Project>
+auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
+                        const JoinPredicate& pred, const JoinOptions& options,
+                        Project project)
+    -> RDD<std::invoke_result_t<Project, const std::pair<STObject, V>&,
+                                const std::pair<STObject, W>&>> {
+  using L = std::pair<STObject, V>;
+  using R = std::pair<STObject, W>;
+  using Out = std::invoke_result_t<Project, const L&, const R&>;
+  const join_internal::Side<L> l = join_internal::SideOf(left);
+  const join_internal::Side<R> r = join_internal::SideOf(right);
+  return MakeRDDFromPartitions(
+      left.ctx(),
+      join_internal::Join<Out>(
+          left.ctx(), l, r, pred, options,
+          [&](std::vector<Out>* sink, size_t li, size_t lrow, size_t ri,
+              size_t rrow) {
+            sink->push_back(project((*l.parts[li])[lrow], (*r.parts[ri])[rrow]));
+          }));
 }
 
 /// \brief Cached-index join: probes the R-trees already held by \p left —
@@ -579,26 +627,55 @@ RDD<std::pair<std::pair<STObject, V>, std::pair<STObject, W>>> SpatialJoin(
                             });
 }
 
-/// \brief Self join that excludes the trivial identity matches: each
-/// element is tagged with a unique id and pairs (x, x) are dropped; both
-/// orderings of a matching pair are emitted (standard join semantics).
+/// \brief Self join that excludes the trivial identity matches and emits
+/// project(l, l_tag, r, r_tag) for every matching pair of distinct rows,
+/// inside the join tasks. A row's tag is its global position: the number
+/// of rows in the partitions before its own plus its row in its partition.
+/// Identity pairs (x, x) are dropped inside the probe; both orderings of a
+/// matching pair are emitted (standard join semantics). The input's
+/// partitions are read once and serve as both sides, so even a lineage that
+/// recomputes different rows on every evaluation joins consistently; a
+/// Cache()d input probes its resident trees and slabs.
+template <typename V, typename Project>
+auto SelfSpatialJoinProject(const SpatialRDD<V>& data,
+                            const JoinPredicate& pred,
+                            const JoinOptions& options, Project project)
+    -> RDD<std::invoke_result_t<Project, const std::pair<STObject, V>&, size_t,
+                                const std::pair<STObject, V>&, size_t>> {
+  using E = std::pair<STObject, V>;
+  using Out = std::invoke_result_t<Project, const E&, size_t, const E&, size_t>;
+  const join_internal::Side<E> side = join_internal::SideOf(data);
+  std::vector<size_t> offset(side.parts.size(), 0);
+  for (size_t p = 1; p < offset.size(); ++p) {
+    offset[p] = offset[p - 1] + side.parts[p - 1]->size();
+  }
+  return MakeRDDFromPartitions(
+      data.ctx(),
+      join_internal::Join<Out>(
+          data.ctx(), side, side, pred, options,
+          [&](std::vector<Out>* sink, size_t li, size_t lrow, size_t ri,
+              size_t rrow) {
+            if (li == ri && lrow == rrow) return;
+            sink->push_back(project((*side.parts[li])[lrow], offset[li] + lrow,
+                                    (*side.parts[ri])[rrow], offset[ri] + rrow));
+          }));
+}
+
+/// SelfSpatialJoinProject emitting full pairs, each row tagged with its
+/// global position: ((geometry, (payload, tag)), (geometry, (payload, tag))).
 template <typename V>
 RDD<std::pair<std::pair<STObject, std::pair<V, size_t>>,
               std::pair<STObject, std::pair<V, size_t>>>>
 SelfSpatialJoin(const SpatialRDD<V>& data, const JoinPredicate& pred,
                 const JoinOptions& options = {}) {
+  using E = std::pair<STObject, V>;
   using Tagged = std::pair<STObject, std::pair<V, size_t>>;
-  RDD<Tagged> tagged =
-      data.rdd().ZipWithIndex().Map(
-          [](const std::pair<std::pair<STObject, V>, size_t>& e) {
-            return Tagged{e.first.first, {e.first.second, e.second}};
-          });
-  SpatialRDD<std::pair<V, size_t>> wrapped(tagged.Cache(),
-                                           data.partitioner());
-  auto joined = SpatialJoin(wrapped, wrapped, pred, options);
-  return joined.Filter([](const std::pair<Tagged, Tagged>& pair) {
-    return pair.first.second.second != pair.second.second.second;
-  });
+  return SelfSpatialJoinProject(
+      data, pred, options,
+      [](const E& l, size_t l_tag, const E& r, size_t r_tag) {
+        return std::pair<Tagged, Tagged>(Tagged{l.first, {l.second, l_tag}},
+                                         Tagged{r.first, {r.second, r_tag}});
+      });
 }
 
 }  // namespace stark

@@ -12,10 +12,8 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,6 +28,7 @@
 #include "spatial_rdd/columnar_refine.h"
 #include "spatial_rdd/predicate.h"
 #include "spatial_rdd/probe.h"
+#include "spatial_rdd/probe_index.h"
 #include "spatial_rdd/query_stats.h"
 #include "spatial_rdd/value_serde.h"
 
@@ -432,14 +431,19 @@ class SpatialRDD {
 
   /// Caches the underlying RDD: each partition is computed once and then
   /// shared, uncopied, by every filter, kNN, count and join that reads it.
-  /// The returned wrapper also keeps the columnar slab each filter builds
-  /// per partition, so repeated filters reuse them
-  /// (engine.columnar.slab_reuse).
+  /// The returned wrapper also keeps a resident ProbeIndex: the slab a
+  /// filter or join builds over a partition, and the R-tree a live-index
+  /// join builds over it, are built once and reused by every later call
+  /// through this wrapper or a copy of it (engine.columnar.slab_reuse).
   SpatialRDD Cache() const {
     SpatialRDD cached(rdd_.Cache(), partitioner_);
-    cached.slabs_ = std::make_shared<SlabCache>();
+    cached.index_ = std::make_shared<ProbeIndex>(cached.NumPartitions());
     return cached;
   }
+
+  /// The resident probe index of a wrapper Cache() returned; null for every
+  /// other lineage, which may recompute different rows.
+  const std::shared_ptr<ProbeIndex>& probe_index() const { return index_; }
 
   // ---- Filter operators (unindexed scan + extent pruning) ---------------
 
@@ -485,13 +489,13 @@ class SpatialRDD {
     // Only the wrapper Cache() returned keeps its slabs across filters: its
     // partitions cannot change, while any other lineage may recompute
     // different rows, so it builds its slab per task.
-    auto slabs = slabs_;
+    auto index = index_;
     return source.MapPartitionsWithIndex(
-        [query, pred, stats, slabs](size_t idx,
+        [query, pred, stats, index](size_t idx,
                                     const std::vector<Element>& items) {
           std::shared_ptr<const ColumnarBatch> slab;
           if (columnar_refine::Refinable(pred) && !items.empty()) {
-            slab = SlabFor(slabs.get(), idx, items);
+            slab = ProbeIndex::Slab(index.get(), idx, items);
           }
           std::vector<Element> out;
           Probe probe(pred, /*cand_left=*/true, slab.get());
@@ -627,38 +631,9 @@ class SpatialRDD {
     return extents;
   }
 
-  /// Filter slabs of a cached dataset, one ColumnarBatch per partition.
-  struct SlabCache {
-    std::mutex mu;
-    std::unordered_map<size_t, std::shared_ptr<const ColumnarBatch>> slabs;
-  };
-
-  /// The slab of partition \p idx: taken from \p cache when it holds one,
-  /// else built from \p items (and kept in \p cache when there is one).
-  static std::shared_ptr<const ColumnarBatch> SlabFor(
-      SlabCache* cache, size_t idx, const std::vector<Element>& items) {
-    const ColumnarMetricSet& metrics = GlobalColumnarMetrics();
-    if (cache != nullptr) {
-      std::lock_guard<std::mutex> lock(cache->mu);
-      auto it = cache->slabs.find(idx);
-      if (it != cache->slabs.end()) {
-        metrics.slab_reuse->Increment();
-        return it->second;
-      }
-    }
-    auto slab = std::make_shared<const ColumnarBatch>(ColumnarBatch::Build(
-        items, [](const Element& e) -> const STObject& { return e.first; }));
-    metrics.batches->Increment();
-    if (cache != nullptr) {
-      std::lock_guard<std::mutex> lock(cache->mu);
-      cache->slabs.emplace(idx, slab);
-    }
-    return slab;
-  }
-
   RDD<Element> rdd_;
   std::shared_ptr<SpatialPartitioner> partitioner_;
-  std::shared_ptr<SlabCache> slabs_;  // set only by Cache()
+  std::shared_ptr<ProbeIndex> index_;  // set only by Cache()
 };
 
 /// Mirrors STARK's implicit Scala conversion: lifts a plain engine RDD of

@@ -68,8 +68,16 @@ class TemporalInterval {
   }
 
   std::string ToString() const {
-    if (IsInstant()) return "@" + std::to_string(start_);
-    return "[" + std::to_string(start_) + ", " + std::to_string(end_) + "]";
+    // Appended piecewise: GCC 12 flags `"@" + std::string` with a false
+    // -Wrestrict.
+    std::string out = IsInstant() ? "@" : "[";
+    out += std::to_string(start_);
+    if (!IsInstant()) {
+      out += ", ";
+      out += std::to_string(end_);
+      out += ']';
+    }
+    return out;
   }
 
  private:

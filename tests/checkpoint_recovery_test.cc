@@ -193,7 +193,9 @@ TEST_F(CheckpointRecoveryTest, PersistentReadFaultFallsBackToLineage) {
 
 TEST_F(CheckpointRecoveryTest, PairElementsSurviveCorruptionRecovery) {
   std::vector<std::pair<std::string, int64_t>> data;
-  for (int i = 0; i < 50; ++i) data.emplace_back("k" + std::to_string(i), i);
+  for (int i = 0; i < 50; ++i) {
+    data.emplace_back(std::string("k").append(std::to_string(i)), i);
+  }
   auto rdd = MakeRDD(&ctx_, data, 3);
   ASSERT_TRUE(Checkpoint(rdd, dir_).ok());
 

@@ -570,7 +570,7 @@ TEST_F(FaultTest, AllSitesArmedOneTransientFaultEachStillCorrect) {
 
   std::vector<std::pair<std::string, int64_t>> data;
   for (int i = 0; i < 400; ++i) {
-    data.emplace_back("k" + std::to_string(i % 13), i);
+    data.emplace_back(std::string("k").append(std::to_string(i % 13)), i);
   }
   auto pipeline = [this, &data, &dir] {
     auto cached = MakeRDD(&ctx_, data, 8).Cache();

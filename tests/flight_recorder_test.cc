@@ -155,6 +155,16 @@ TEST_F(FlightRecorderTest, ConcurrentWritersNeverTearReaders) {
       }
     });
   }
+  // Joins the writers however the checks below return, so a failed ASSERT
+  // reports instead of destroying joinable threads.
+  struct JoinWriters {
+    std::atomic<bool>* stop;
+    std::vector<std::thread>* writers;
+    ~JoinWriters() {
+      stop->store(true);
+      for (auto& w : *writers) w.join();
+    }
+  } join_writers{&stop, &writers};
   for (int reads = 0; reads < 200; ++reads) {
     for (const FlightEvent& e : ring.Snapshot()) {
       ASSERT_EQ(e.kind, FlightEventKind::kFinish);
@@ -163,8 +173,6 @@ TEST_F(FlightRecorderTest, ConcurrentWritersNeverTearReaders) {
       ASSERT_EQ(e.value & 0xffffffff, e.partition & 0xffffffff);
     }
   }
-  stop.store(true);
-  for (auto& w : writers) w.join();
 }
 
 // ---------------------------------------------------------------------------
